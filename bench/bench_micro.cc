@@ -17,11 +17,11 @@
 #include "pipeline/pipeline.hh"
 #include "predict/address_table.hh"
 #include "predict/register_cache.hh"
-#include "sim/decoded.hh"
 #include "sim/emulator.hh"
 #include "sim/simulator.hh"
 #include "support/logging.hh"
 #include "support/random.hh"
+#include "verify/reference_interp.hh"
 #include "workloads/workloads.hh"
 
 using namespace elag;
@@ -88,104 +88,78 @@ BM_CacheAccess(benchmark::State &state)
 }
 BENCHMARK(BM_CacheAccess);
 
-const char *
-labelFor(sim::DispatchMode mode)
-{
-    if (mode == sim::DispatchMode::Legacy)
-        return "dispatch:legacy";
-    if (mode != sim::DispatchMode::Switch &&
-        sim::threadedDispatchCompiled()) {
-        return "dispatch:threaded";
-    }
-    return "dispatch:switch";
-}
-
+/** End-to-end rate of 026.compress timed runs on the proposed
+ *  machine, each run made by @p timed_run. */
+template <typename TimedRun>
 void
-endToEndBody(benchmark::State &state, sim::DispatchMode mode)
+endToEndBody(benchmark::State &state, TimedRun timed_run)
 {
     setQuiet(true);
-    sim::setDispatchMode(mode);
     const auto *w = workloads::findWorkload("026.compress");
     auto prog = sim::compile(w->source);
     uint64_t instructions = 0;
     for (auto _ : state) {
-        auto result =
-            sim::runTimed(prog, pipeline::MachineConfig::proposed());
+        auto result = timed_run(prog, pipeline::MachineConfig::proposed());
         instructions += result.pipe.instructions;
         benchmark::DoNotOptimize(result.pipe.cycles);
     }
     state.counters["sim_inst_per_s"] = benchmark::Counter(
         static_cast<double>(instructions), benchmark::Counter::kIsRate);
-    sim::setDispatchMode(sim::DispatchMode::Auto);
-    state.SetLabel(labelFor(mode));
 }
 
-/** End-to-end rate under the default (threaded where compiled). */
 void
 BM_EndToEndSimulation(benchmark::State &state)
 {
-    endToEndBody(state, sim::DispatchMode::Auto);
+    endToEndBody(state, [](const sim::CompiledProgram &prog,
+                           const pipeline::MachineConfig &machine) {
+        return sim::runTimed(prog, machine);
+    });
 }
 BENCHMARK(BM_EndToEndSimulation)->Unit(benchmark::kMillisecond);
 
-/** Same simulation, forced onto the portable switch loop — the A/B
- *  counterpart CI compares against BM_EndToEndSimulation. */
-void
-BM_EndToEndSimulationSwitch(benchmark::State &state)
-{
-    endToEndBody(state, sim::DispatchMode::Switch);
-}
-BENCHMARK(BM_EndToEndSimulationSwitch)->Unit(benchmark::kMillisecond);
-
-/** Same simulation on the pre-predecode reference interpreter — the
- *  same-runner baseline for the CI step-change perf smoke. */
+/** The same runs on the decode-as-you-go reference interpreter — the
+ *  same-runner baseline of the CI step-change gate. */
 void
 BM_EndToEndSimulationLegacy(benchmark::State &state)
 {
-    endToEndBody(state, sim::DispatchMode::Legacy);
+    endToEndBody(state, [](const sim::CompiledProgram &prog,
+                           const pipeline::MachineConfig &machine) {
+        return verify::runTimedReference(prog, machine);
+    });
 }
 BENCHMARK(BM_EndToEndSimulationLegacy)->Unit(benchmark::kMillisecond);
 
 /** Pure functional emulation (no timing model) — isolates the
- *  dispatch engine itself from the retire-side pipeline cost. */
+ *  dispatch loop from the retire-side pipeline cost. */
+template <typename Engine>
 void
-functionalBody(benchmark::State &state, sim::DispatchMode mode)
+functionalBody(benchmark::State &state)
 {
     setQuiet(true);
-    sim::setDispatchMode(mode);
     const auto *w = workloads::findWorkload("026.compress");
     auto prog = sim::compile(w->source);
     uint64_t instructions = 0;
     for (auto _ : state) {
-        sim::Emulator emu(prog.code.program);
-        auto result = emu.run();
+        Engine engine(prog.code.program);
+        auto result = engine.run();
         instructions += result.instructions;
         benchmark::DoNotOptimize(result.exitValue);
     }
     state.counters["emu_inst_per_s"] = benchmark::Counter(
         static_cast<double>(instructions), benchmark::Counter::kIsRate);
-    sim::setDispatchMode(sim::DispatchMode::Auto);
-    state.SetLabel(labelFor(mode));
 }
 
 void
 BM_FunctionalEmulation(benchmark::State &state)
 {
-    functionalBody(state, sim::DispatchMode::Auto);
+    functionalBody<sim::Emulator>(state);
 }
 BENCHMARK(BM_FunctionalEmulation)->Unit(benchmark::kMillisecond);
 
 void
-BM_FunctionalEmulationSwitch(benchmark::State &state)
-{
-    functionalBody(state, sim::DispatchMode::Switch);
-}
-BENCHMARK(BM_FunctionalEmulationSwitch)->Unit(benchmark::kMillisecond);
-
-void
 BM_FunctionalEmulationLegacy(benchmark::State &state)
 {
-    functionalBody(state, sim::DispatchMode::Legacy);
+    functionalBody<verify::ReferenceInterpreter>(state);
 }
 BENCHMARK(BM_FunctionalEmulationLegacy)->Unit(benchmark::kMillisecond);
 

@@ -22,6 +22,7 @@ namespace build = elag::isa::build;
 using pipeline::MachineConfig;
 using pipeline::Pipeline;
 using pipeline::RetiredInst;
+using pipeline::makeRetired;
 
 namespace {
 
@@ -32,24 +33,19 @@ cyclesPerIteration(LoadSpec spec, bool strided)
     Pipeline pipe(MachineConfig::proposed());
     const int iters = 2000;
     for (int i = 0; i < iters; ++i) {
-        RetiredInst ld;
-        ld.pc = 100;
-        ld.inst = build::load(spec, 10, 1, 0);
+        RetiredInst ld = makeRetired(100, build::load(spec, 10, 1, 0));
         ld.effAddr =
             strided ? 0x1000 + static_cast<uint32_t>(i % 16) * 4
                     : 0x1000;
         ld.nextPc = 101;
         pipe.retire(ld);
 
-        RetiredInst use;
-        use.pc = 101;
-        use.inst = build::add(11, 10, 10);
+        RetiredInst use = makeRetired(101, build::add(11, 10, 10));
         use.nextPc = 102;
         pipe.retire(use);
 
-        RetiredInst br;
-        br.pc = 102;
-        br.inst = build::branch(Opcode::BLT, 5, 6, 100);
+        RetiredInst br =
+            makeRetired(102, build::branch(Opcode::BLT, 5, 6, 100));
         br.taken = i + 1 < iters;
         br.nextPc = br.taken ? 100 : 103;
         pipe.retire(br);

@@ -7,11 +7,11 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <array>
 #include <cerrno>
 #include <cstring>
 
 #include "obs/metrics.hh"
+#include "support/hash.hh"
 #include "support/json.hh"
 #include "support/logging.hh"
 #include "support/strings.hh"
@@ -215,27 +215,6 @@ parseRecordLine(const std::string &line, uint64_t &key,
 }
 
 } // anonymous namespace
-
-uint32_t
-crc32(const void *data, size_t n)
-{
-    // IEEE 802.3 polynomial, reflected; table built on first use.
-    static const std::array<uint32_t, 256> table = [] {
-        std::array<uint32_t, 256> t{};
-        for (uint32_t i = 0; i < 256; ++i) {
-            uint32_t c = i;
-            for (int k = 0; k < 8; ++k)
-                c = (c & 1) ? 0xedb88320u ^ (c >> 1) : c >> 1;
-            t[i] = c;
-        }
-        return t;
-    }();
-    uint32_t c = 0xffffffffu;
-    const uint8_t *p = static_cast<const uint8_t *>(data);
-    for (size_t i = 0; i < n; ++i)
-        c = table[(c ^ p[i]) & 0xff] ^ (c >> 8);
-    return c ^ 0xffffffffu;
-}
 
 PersistentStore::PersistentStore(const PersistentStoreConfig &config)
     : cfg(config)

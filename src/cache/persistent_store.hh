@@ -54,9 +54,6 @@
 namespace elag {
 namespace cache {
 
-/** CRC32 (IEEE 802.3 polynomial) of @p data; guards stored values. */
-uint32_t crc32(const void *data, size_t n);
-
 struct PersistentStoreConfig
 {
     /** Cache directory (created, parents included, if missing). */

@@ -7,6 +7,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include "support/hash.hh"
 #include "support/logging.hh"
 
 namespace elag {

@@ -25,36 +25,6 @@ name(ErrorKind kind)
     return "?";
 }
 
-namespace {
-
-struct CrcTable
-{
-    uint32_t entries[256];
-
-    CrcTable()
-    {
-        for (uint32_t i = 0; i < 256; ++i) {
-            uint32_t c = i;
-            for (int bit = 0; bit < 8; ++bit)
-                c = (c >> 1) ^ ((c & 1) ? 0xedb88320u : 0);
-            entries[i] = c;
-        }
-    }
-};
-
-} // anonymous namespace
-
-uint32_t
-crc32(const void *data, size_t len, uint32_t seed)
-{
-    static const CrcTable table;
-    const uint8_t *p = static_cast<const uint8_t *>(data);
-    uint32_t crc = seed ^ 0xffffffffu;
-    for (size_t i = 0; i < len; ++i)
-        crc = (crc >> 8) ^ table.entries[(crc ^ p[i]) & 0xff];
-    return crc ^ 0xffffffffu;
-}
-
 void
 Writer::u32(uint32_t v)
 {

@@ -53,9 +53,6 @@ class CkptError : public std::runtime_error
     ErrorKind kind_;
 };
 
-/** CRC-32 (IEEE 802.3, reflected) over @p len bytes. */
-uint32_t crc32(const void *data, size_t len, uint32_t seed = 0);
-
 /** Append-only byte sink. */
 class Writer
 {

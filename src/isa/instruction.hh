@@ -279,7 +279,7 @@ Instruction::intSources(int &s1, int &s2) const
  */
 namespace flag {
 
-/** Word was produced by decodeFlags (hand-built records leave 0). */
+/** Word was produced by decodeFlags; Pipeline::retire requires it. */
 constexpr uint16_t Valid = 1u << 0;
 constexpr uint16_t Load = 1u << 1;
 constexpr uint16_t Store = 1u << 2;

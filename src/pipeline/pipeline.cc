@@ -14,6 +14,20 @@ using isa::FuClass;
 using isa::Instruction;
 using isa::Opcode;
 
+RetiredInst
+makeRetired(uint32_t pc, const Instruction &inst)
+{
+    RetiredInst ri;
+    ri.pc = pc;
+    ri.inst = inst;
+    ri.flags = isa::decodeFlags(inst);
+    int s1, s2;
+    inst.intSources(s1, s2);
+    ri.src1 = static_cast<int8_t>(s1);
+    ri.src2 = static_cast<int8_t>(s2);
+    return ri;
+}
+
 Pipeline::Pipeline(const MachineConfig &config)
     : cfg(config),
       icache(config.icache),
@@ -540,18 +554,12 @@ Pipeline::retire(const RetiredInst &ri)
     e = std::max(e, nextIssue);
     uint64_t ready_to_issue = e;
 
-    // The emulator's predecoded stream supplies the flag word and the
-    // pre-resolved integer sources; hand-built records (tests, replay
-    // tooling) arrive without flag::Valid and decode here instead.
-    uint16_t flags = ri.flags;
-    int s1, s2;
-    if (flags & isa::flag::Valid) {
-        s1 = ri.src1;
-        s2 = ri.src2;
-    } else {
-        flags = isa::decodeFlags(inst);
-        inst.intSources(s1, s2);
-    }
+    // The flag word and integer sources come predecoded (the
+    // emulator's stream, or makeRetired()).
+    elag_assert(ri.flags & isa::flag::Valid);
+    const uint16_t flags = ri.flags;
+    const int s1 = ri.src1;
+    const int s2 = ri.src2;
 
     // Integer source dependences.
     if (s1 > 0)

@@ -59,13 +59,19 @@ struct RetiredInst
     /**
      * Precomputed isa::decodeFlags(inst) word and pre-resolved
      * integer source registers, filled by the emulator's predecoded
-     * stream. Hand-built records may leave them zeroed (flag::Valid
-     * clear); retire() then decodes on the spot.
+     * stream or by makeRetired(). retire() requires flag::Valid.
      */
     uint16_t flags = 0;
     int8_t src1 = -1;
     int8_t src2 = -1;
 };
+
+/**
+ * A retire record for @p inst at @p pc with flags, src1 and src2
+ * decoded from the instruction, for records built outside the
+ * emulator (the reference interpreter, hand-built test streams).
+ */
+RetiredInst makeRetired(uint32_t pc, const isa::Instruction &inst);
 
 /** The timing model. */
 class Pipeline

@@ -1,61 +1,26 @@
 #include "serve/routing.hh"
 
+#include "support/hash.hh"
 #include "support/logging.hh"
 
 namespace elag {
 namespace serve {
-
-namespace {
-
-/** FNV-1a, the same hash family sim::RunCache keys with. */
-struct Fnv1a
-{
-    uint64_t state = 1469598103934665603ull;
-
-    void
-    mixBytes(const void *data, size_t n)
-    {
-        const unsigned char *p =
-            static_cast<const unsigned char *>(data);
-        for (size_t i = 0; i < n; ++i) {
-            state ^= p[i];
-            state *= 1099511628211ull;
-        }
-    }
-
-    void
-    mix(uint64_t v)
-    {
-        mixBytes(&v, sizeof(v));
-    }
-
-    void
-    mixString(const std::string &s)
-    {
-        // Length-prefix so adjacent strings cannot alias
-        // ("ab" + "c" vs "a" + "bc").
-        mix(s.size());
-        mixBytes(s.data(), s.size());
-    }
-};
-
-} // anonymous namespace
 
 uint64_t
 routingHash(const Request &request)
 {
     // `generate` requests carry their content in spec, not source;
     // mixing both keeps every work verb content-routable.
-    Fnv1a h;
+    Fnv1a h(Fnv1a::kContentBasis);
     h.mixBytes(request.source.data(), request.source.size());
     h.mixBytes(request.spec.data(), request.spec.size());
-    return h.state;
+    return h.value();
 }
 
 uint64_t
 persistKey(const Request &request)
 {
-    Fnv1a h;
+    Fnv1a h(Fnv1a::kContentBasis);
     h.mixString(request.verb);
     h.mixString(request.source);
     h.mixString(request.spec);
@@ -67,7 +32,7 @@ persistKey(const Request &request)
     h.mix(request.noOpt ? 1 : 0);
     h.mix(request.noClassify ? 1 : 0);
     h.mix(request.maxInst);
-    return h.state;
+    return h.value();
 }
 
 uint32_t

@@ -4,6 +4,7 @@
 
 #include "ckpt/checkpoint.hh"
 #include "sim/run_cache.hh"
+#include "support/hash.hh"
 #include "support/logging.hh"
 #include "verify/fault_injector.hh"
 #include "verify/invariant_checker.hh"
@@ -58,23 +59,18 @@ restore(ckpt::Reader &r, CkptRunKey &key)
 uint64_t
 hashRunKey(const CkptRunKey &key)
 {
-    uint64_t h = 0xcbf29ce484222325ull;
-    auto mix = [&h](uint64_t v) {
-        for (int i = 0; i < 8; ++i) {
-            h ^= (v >> (i * 8)) & 0xff;
-            h *= 0x100000001b3ull;
-        }
-    };
-    mix(key.programHash);
-    mix(key.machineHash);
-    mix(key.baselineHash);
-    mix(key.maxInstructions);
-    mix(key.hasChecker ? 1 : 0);
-    mix(key.injectorPlan.size());
+    // Each plan character is folded as a whole 64-bit word.
+    Fnv1a h;
+    h.mix(key.programHash);
+    h.mix(key.machineHash);
+    h.mix(key.baselineHash);
+    h.mix(key.maxInstructions);
+    h.mix(key.hasChecker ? 1 : 0);
+    h.mix(key.injectorPlan.size());
     for (char c : key.injectorPlan)
-        mix(static_cast<uint8_t>(c));
-    mix(key.injectorSeed);
-    return h;
+        h.mix(static_cast<uint8_t>(c));
+    h.mix(key.injectorSeed);
+    return h.value();
 }
 
 ResumableTimedRun::ResumableTimedRun(const CompiledProgram &prog,

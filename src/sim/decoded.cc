@@ -1,13 +1,8 @@
 #include "sim/decoded.hh"
 
-#include <atomic>
-#include <cstdlib>
-#include <cstring>
 #include <list>
 #include <mutex>
 #include <unordered_map>
-
-#include "support/logging.hh"
 
 namespace elag {
 namespace sim {
@@ -209,58 +204,6 @@ DecodedStream::clearCache()
     std::lock_guard<std::mutex> lock(cache.mu);
     cache.entries.clear();
     cache.lru.clear();
-}
-
-namespace {
-
-DispatchMode
-envDispatchMode()
-{
-    const char *env = std::getenv("ELAG_DISPATCH");
-    if (!env || !*env)
-        return DispatchMode::Auto;
-    if (std::strcmp(env, "switch") == 0)
-        return DispatchMode::Switch;
-    if (std::strcmp(env, "threaded") == 0)
-        return DispatchMode::Threaded;
-    if (std::strcmp(env, "legacy") == 0)
-        return DispatchMode::Legacy;
-    if (std::strcmp(env, "auto") != 0)
-        warn("ELAG_DISPATCH: unknown mode '%s' (want auto, switch, "
-             "threaded, or legacy); using auto",
-             env);
-    return DispatchMode::Auto;
-}
-
-std::atomic<DispatchMode> &
-modeVar()
-{
-    static std::atomic<DispatchMode> mode{envDispatchMode()};
-    return mode;
-}
-
-} // anonymous namespace
-
-void
-setDispatchMode(DispatchMode mode)
-{
-    modeVar().store(mode, std::memory_order_relaxed);
-}
-
-DispatchMode
-dispatchMode()
-{
-    return modeVar().load(std::memory_order_relaxed);
-}
-
-bool
-threadedDispatchActive()
-{
-    if (!threadedDispatchCompiled())
-        return false;
-    DispatchMode mode = dispatchMode();
-    return mode != DispatchMode::Switch &&
-           mode != DispatchMode::Legacy;
 }
 
 } // namespace sim

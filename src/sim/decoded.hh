@@ -1,6 +1,6 @@
 /**
  * @file
- * Predecoded instruction streams for threaded-code dispatch.
+ * Predecoded instruction streams for the emulator's dispatch loop.
  *
  * The emulator's inner loop used to re-read and re-derive every
  * Instruction field per committed instruction. A DecodedStream lowers
@@ -164,46 +164,15 @@ class DecodedStream
 DecodedInst decodeInst(const isa::Instruction &inst);
 
 /**
- * Emulator dispatch-mode selection. The CMake option
- * ELAG_THREADED_DISPATCH compiles the computed-goto loop in (GCC and
- * Clang only); this runtime switch picks between it and the portable
- * switch loop inside one binary, so differential tests and dispatch
- * A/B benchmarks need no second build tree. Auto resolves to the
- * ELAG_DISPATCH environment variable ("threaded"/"switch"/"legacy"),
- * then to threaded wherever it is compiled in.
- *
- * Legacy is the pre-predecode reference interpreter: a decode-as-you-
- * go switch over raw isa::Instruction records, kept as a third
- * differential oracle (it shares no predecode machinery with the
- * other two modes) and as the same-runner baseline the CI perf smoke
- * measures the predecoded engine against.
+ * Always false: the emulator has one dispatch loop, a switch. Kept
+ * only because perfbench/common.cc still prints it; the next change
+ * to the benchmark removes both.
  */
-enum class DispatchMode : uint8_t
-{
-    Auto,
-    Switch,
-    Threaded,
-    Legacy,
-};
-
-/** Set the process-wide dispatch mode (thread-safe). */
-void setDispatchMode(DispatchMode mode);
-DispatchMode dispatchMode();
-
-/** True if this build carries the computed-goto loop. */
 constexpr bool
-threadedDispatchCompiled()
+threadedDispatchActive()
 {
-#if defined(ELAG_THREADED_DISPATCH) && ELAG_THREADED_DISPATCH && \
-    (defined(__GNUC__) || defined(__clang__))
-    return true;
-#else
     return false;
-#endif
 }
-
-/** True if the next Emulator::run will use computed-goto dispatch. */
-bool threadedDispatchActive();
 
 } // namespace sim
 } // namespace elag

@@ -1,32 +1,20 @@
 #include "sim/emulator.hh"
 
-#include <cstring>
-
 #include "ckpt/serial.hh"
 
 namespace elag {
 namespace sim {
 
 Emulator::Emulator(const isa::MachineProgram &program)
-    : prog(program), stream_(DecodedStream::get(program)),
-      mem_(isa::MemorySize)
+    : stream_(DecodedStream::get(program)), mem_(isa::MemorySize),
+      pc_(program.entry)
 {
-    reset();
-}
-
-void
-Emulator::reset()
-{
-    std::memset(regs, 0, sizeof(regs));
-    std::memset(fregs, 0, sizeof(fregs));
-    pc_ = prog.entry;
-
     // Load the global segment and patch the heap bump pointer, which
     // by construction is the last word of the segment.
-    mem_.writeBlock(isa::GlobalBase, prog.globalInit);
-    if (prog.globalSize >= 4) {
-        mem_.writeWord(isa::GlobalBase + prog.globalSize - 4,
-                       prog.heapBase());
+    mem_.writeBlock(isa::GlobalBase, program.globalInit);
+    if (program.globalSize >= 4) {
+        mem_.writeWord(isa::GlobalBase + program.globalSize - 4,
+                       program.heapBase());
     }
 }
 

@@ -12,20 +12,10 @@
  * rather than raw isa::Instruction records: handler specialization,
  * operand pre-resolution, and the retire flag word all happen once
  * per static instruction instead of once per committed instruction.
- * Two dispatch loops share one set of handler bodies
- * (sim/exec_loop.inc):
- *
- *  - runThreaded(): computed-goto threaded code, compiled in when the
- *    ELAG_THREADED_DISPATCH build option is ON and the compiler
- *    supports &&label (GCC/Clang). Each handler ends in its own
- *    indirect jump, so the host branch predictor keys on the guest's
- *    actual opcode-successor patterns.
- *  - runSwitch(): a portable switch over the same handler indices,
- *    always compiled, selectable at runtime (sim::setDispatchMode or
- *    ELAG_DISPATCH=switch) for differential testing and A/B benches.
- *
- * Both loops produce identical observable behavior by construction;
- * tests/test_dispatch.cc pins the stats documents byte-for-byte.
+ * There is one dispatch loop, a switch over the handler indices. The
+ * test-only verify::ReferenceInterpreter (verify/reference_interp.hh)
+ * decodes as it goes instead; tests/test_dispatch.cc compares the
+ * two.
  *
  * run() is a template over the observer callable so the per-retire
  * callback (typically "feed the pipeline timing model") inlines into
@@ -41,7 +31,6 @@
 #include <cstring>
 #include <functional>
 #include <memory>
-#include <utility>
 #include <vector>
 
 #include "isa/program.hh"
@@ -50,18 +39,6 @@
 #include "pipeline/pipeline.hh"
 #include "sim/decoded.hh"
 #include "support/logging.hh"
-
-/**
- * ELAG_EMU_CGOTO mirrors sim::threadedDispatchCompiled() at the
- * preprocessor level: it gates the computed-goto loop's definition,
- * which uses GNU &&label syntax a portable build cannot parse.
- */
-#if defined(ELAG_THREADED_DISPATCH) && ELAG_THREADED_DISPATCH && \
-    (defined(__GNUC__) || defined(__clang__))
-#define ELAG_EMU_CGOTO 1
-#else
-#define ELAG_EMU_CGOTO 0
-#endif
 
 namespace elag {
 namespace sim {
@@ -126,30 +103,12 @@ class Emulator
      * is not captured; restore() requires an Emulator constructed
      * over the identical MachineProgram (checked by program hash at
      * the checkpoint layer). The predecoded stream is derived state
-     * and never serialized, so checkpoints taken under one dispatch
-     * mode restore under the other.
+     * and never serialized.
      */
     void serialize(ckpt::Writer &w) const;
     void restore(ckpt::Reader &r);
 
   private:
-    template <typename F>
-    EmulationResult runSwitch(uint64_t max_instructions, F &&observer);
-#if ELAG_EMU_CGOTO
-    template <typename F>
-    EmulationResult runThreaded(uint64_t max_instructions,
-                                F &&observer);
-#endif
-    template <typename F>
-    EmulationResult runLegacy(uint64_t max_instructions, F &&observer);
-
-    void reset();
-
-    // Owned copy, not a reference: the legacy loop decodes from the
-    // raw program at run time (the other engines only touch the
-    // shared DecodedStream), and callers may construct an Emulator
-    // from a temporary MachineProgram.
-    const isa::MachineProgram prog;
     std::shared_ptr<const DecodedStream> stream_;
     mem::MainMemory mem_;
     int32_t regs[isa::NumIntRegs] = {};
@@ -157,64 +116,75 @@ class Emulator
     uint32_t pc_ = 0;
 };
 
+// The dispatch loop's helpers name run()'s locals; they are undefined
+// again after it.
+
+/** Refill the dispatch cursor and the retire record for `pc`. */
+#define ELAG_LOADRI()                                                 \
+    do {                                                              \
+        d = stream + pc;                                              \
+        ri.pc = pc;                                                   \
+        ri.inst = d->inst;                                            \
+        ri.flags = d->flags;                                          \
+        ri.src1 = d->src1;                                            \
+        ri.src2 = d->src2;                                            \
+        ri.effAddr = 0;                                               \
+        ri.taken = false;                                             \
+    } while (0)
+
+/** Commit the current instruction and dispatch its successor. */
+#define ELAG_NEXT(np)                                                 \
+    do {                                                              \
+        const uint32_t elag_np = (np);                                \
+        ri.nextPc = elag_np;                                          \
+        ++result.instructions;                                        \
+        observer(ri);                                                 \
+        pc = elag_np;                                                 \
+        if (result.instructions >= max_instructions) [[unlikely]]     \
+            goto capped;                                              \
+        ELAG_LOADRI();                                                \
+        goto dispatch_top;                                            \
+    } while (0)
+
+/** Validate an explicit control-transfer target (== limit lands on
+ *  the sentinel, which raises the trap with the right PC itself). */
+#define ELAG_CHECK_TARGET(t)                                          \
+    do {                                                              \
+        if ((t) > limit) [[unlikely]]                                 \
+            trap_target(pc, (t));                                     \
+    } while (0)
+
+/** Validate an effective address against the memory image. */
+#define ELAG_CHECK_EA(ea, bytes)                                      \
+    do {                                                              \
+        if (static_cast<uint64_t>(ea) + (bytes) > mem_size)           \
+            [[unlikely]]                                              \
+            trap_addr(pc, (ea));                                      \
+    } while (0)
+
+/*
+ * Loop invariants:
+ *  - `pc` is a local copy of the architected PC; every exit path
+ *    (HALT, instruction cap, any throw) writes it back to pc_, so
+ *    chunked runs (sim/ckpt_run.cc) resume exactly where they left
+ *    off.
+ *  - regs[0] is kept zero by every write path (construction,
+ *    restore, wr), so operand reads need no r0 test.
+ *  - The stream carries one TRAP_PCRANGE sentinel past the end, so
+ *    falling off the program needs no per-instruction bounds check;
+ *    explicit control transfers validate their target instead.
+ */
 template <typename F>
 EmulationResult
 Emulator::run(uint64_t max_instructions, F &&observer)
 {
-    const DispatchMode mode = dispatchMode();
-    if (mode == DispatchMode::Legacy) [[unlikely]]
-        return runLegacy(max_instructions,
-                         std::forward<F>(observer));
-#if ELAG_EMU_CGOTO
-    if (mode != DispatchMode::Switch)
-        return runThreaded(max_instructions,
-                           std::forward<F>(observer));
-#endif
-    return runSwitch(max_instructions, std::forward<F>(observer));
-}
-
-template <typename F>
-EmulationResult
-Emulator::runSwitch(uint64_t max_instructions, F &&observer)
-{
-#define ELAG_EXEC_THREADED 0
-#include "sim/exec_loop.inc"
-#undef ELAG_EXEC_THREADED
-}
-
-#if ELAG_EMU_CGOTO
-template <typename F>
-EmulationResult
-Emulator::runThreaded(uint64_t max_instructions, F &&observer)
-{
-#define ELAG_EXEC_THREADED 1
-#include "sim/exec_loop.inc"
-#undef ELAG_EXEC_THREADED
-}
-#endif
-
-/**
- * The pre-predecode reference interpreter: a decode-as-you-go switch
- * over raw isa::Instruction records, kept alive (with the typed guest
- * traps) as a third differential oracle — it shares no predecode
- * machinery with the other modes — and as the same-runner baseline
- * the dispatch A/B benches and the CI perf smoke measure against.
- * RetiredInst records leave flag::Valid clear, so this mode also
- * exercises the pipeline's decode-at-retire fallback.
- */
-template <typename F>
-EmulationResult
-Emulator::runLegacy(uint64_t max_instructions, F &&observer)
-{
-    using isa::Instruction;
-    using isa::Opcode;
-
     EmulationResult result;
-    const uint32_t size = static_cast<uint32_t>(prog.code.size());
+    const DecodedInst *const stream = stream_->insts();
+    const uint32_t limit = stream_->programSize();
     const uint64_t mem_size = mem_.size();
     uint32_t pc = pc_;
 
-    if (pc > size) {
+    if (pc > limit) {
         throw GuestTrapError(
             GuestTrapKind::PcOutOfRange, pc,
             formatString("emulator: PC 0x%x out of range", pc));
@@ -222,240 +192,418 @@ Emulator::runLegacy(uint64_t max_instructions, F &&observer)
     if (max_instructions == 0)
         return result;
 
-    auto read_reg = [&](int r) -> int32_t {
-        return r == 0 ? 0 : regs[r];
-    };
-    auto write_reg = [&](int r, int32_t v) {
+    auto wr = [&](uint8_t r, int32_t v) {
         if (r != 0)
             regs[r] = v;
     };
-    auto check_ea = [&](uint32_t ea, uint32_t bytes) {
-        if (static_cast<uint64_t>(ea) + bytes > mem_size) {
-            throw GuestTrapError(
-                GuestTrapKind::BadAddress, pc,
-                formatString("emulator: memory access out of range "
-                             "at pc %u: addr=0x%x",
-                             pc, ea));
-        }
+    auto trap_addr = [&](uint32_t at_pc, uint32_t ea) {
+        throw GuestTrapError(
+            GuestTrapKind::BadAddress, at_pc,
+            formatString("emulator: memory access out of range at pc %u: "
+                         "addr=0x%x",
+                         at_pc, ea));
+    };
+    auto trap_target = [&](uint32_t at_pc, uint32_t target) {
+        throw GuestTrapError(
+            GuestTrapKind::PcOutOfRange, at_pc,
+            formatString("emulator: control transfer to PC 0x%x out of "
+                         "range at pc %u",
+                         target, at_pc));
     };
 
+    pipeline::RetiredInst ri;
+    const DecodedInst *d;
+
     try {
-        while (result.instructions < max_instructions) {
-            if (pc >= size) {
+        ELAG_LOADRI();
+
+      dispatch_top:
+        switch (d->handler) {
+          case Handler::ADD: {
+            wr(d->inst.rd, regs[d->inst.rs1] + regs[d->inst.rs2]);
+            ELAG_NEXT(pc + 1);
+          }
+          case Handler::SUB: {
+            wr(d->inst.rd, regs[d->inst.rs1] - regs[d->inst.rs2]);
+            ELAG_NEXT(pc + 1);
+          }
+          case Handler::MUL: {
+            wr(d->inst.rd,
+               static_cast<int32_t>(
+                   static_cast<uint32_t>(regs[d->inst.rs1]) *
+                   static_cast<uint32_t>(regs[d->inst.rs2])));
+            ELAG_NEXT(pc + 1);
+          }
+          case Handler::DIV: {
+            const int32_t a = regs[d->inst.rs1];
+            const int32_t b = regs[d->inst.rs2];
+            if (b == 0) [[unlikely]] {
                 throw GuestTrapError(
-                    GuestTrapKind::PcOutOfRange, pc,
-                    formatString("emulator: PC 0x%x out of range",
+                    GuestTrapKind::DivideByZero, pc,
+                    formatString("emulator: divide by zero at pc %u",
                                  pc));
             }
-            const Instruction &inst = prog.code[pc];
-
-            pipeline::RetiredInst ri;
-            ri.pc = pc;
-            ri.inst = inst;
-
-            uint32_t next_pc = pc + 1;
-            uint32_t a = static_cast<uint32_t>(read_reg(inst.rs1));
-            uint32_t b = static_cast<uint32_t>(read_reg(inst.rs2));
-            int32_t sa = static_cast<int32_t>(a);
-            int32_t sb = static_cast<int32_t>(b);
-            int32_t imm = inst.imm;
-
-            switch (inst.op) {
-              case Opcode::ADD: write_reg(inst.rd, sa + sb); break;
-              case Opcode::SUB: write_reg(inst.rd, sa - sb); break;
-              case Opcode::MUL:
-                write_reg(inst.rd, static_cast<int32_t>(a * b));
-                break;
-              case Opcode::DIV:
-                if (sb == 0) {
-                    throw GuestTrapError(
-                        GuestTrapKind::DivideByZero, pc,
-                        formatString(
-                            "emulator: divide by zero at pc %u", pc));
-                }
-                write_reg(inst.rd, (sa == INT32_MIN && sb == -1)
-                                       ? INT32_MIN
-                                       : sa / sb);
-                break;
-              case Opcode::REM:
-                if (sb == 0) {
-                    throw GuestTrapError(
-                        GuestTrapKind::RemainderByZero, pc,
-                        formatString(
-                            "emulator: remainder by zero at pc %u",
-                            pc));
-                }
-                write_reg(inst.rd,
-                          (sa == INT32_MIN && sb == -1) ? 0 : sa % sb);
-                break;
-              case Opcode::AND: write_reg(inst.rd, sa & sb); break;
-              case Opcode::OR: write_reg(inst.rd, sa | sb); break;
-              case Opcode::XOR: write_reg(inst.rd, sa ^ sb); break;
-              case Opcode::SLL:
-                write_reg(inst.rd,
-                          static_cast<int32_t>(a << (b & 31)));
-                break;
-              case Opcode::SRL:
-                write_reg(inst.rd,
-                          static_cast<int32_t>(a >> (b & 31)));
-                break;
-              case Opcode::SRA:
-                write_reg(inst.rd, sa >> (b & 31));
-                break;
-              case Opcode::SLT: write_reg(inst.rd, sa < sb); break;
-              case Opcode::SLTU: write_reg(inst.rd, a < b); break;
-              case Opcode::SEQ: write_reg(inst.rd, sa == sb); break;
-              case Opcode::ADDI: write_reg(inst.rd, sa + imm); break;
-              case Opcode::ANDI: write_reg(inst.rd, sa & imm); break;
-              case Opcode::ORI: write_reg(inst.rd, sa | imm); break;
-              case Opcode::XORI: write_reg(inst.rd, sa ^ imm); break;
-              case Opcode::SLLI:
-                write_reg(inst.rd,
-                          static_cast<int32_t>(a << (imm & 31)));
-                break;
-              case Opcode::SRLI:
-                write_reg(inst.rd,
-                          static_cast<int32_t>(a >> (imm & 31)));
-                break;
-              case Opcode::SRAI:
-                write_reg(inst.rd, sa >> (imm & 31));
-                break;
-              case Opcode::SLTI: write_reg(inst.rd, sa < imm); break;
-              case Opcode::LUI: write_reg(inst.rd, imm << 16); break;
-              case Opcode::LOAD: {
-                uint32_t ea = inst.mode == isa::AddrMode::BaseOffset
-                                  ? a + static_cast<uint32_t>(imm)
-                                  : a + b;
-                ri.effAddr = ea;
-                uint32_t bytes =
-                    inst.width == isa::MemWidth::Byte ? 1u : 4u;
-                check_ea(ea, bytes);
-                int32_t value =
-                    inst.width == isa::MemWidth::Byte
-                        ? static_cast<int32_t>(mem_.readByte(ea))
-                        : static_cast<int32_t>(mem_.readWord(ea));
-                write_reg(inst.rd, value);
-                break;
-              }
-              case Opcode::STORE: {
-                uint32_t ea = inst.mode == isa::AddrMode::BaseOffset
-                                  ? a + static_cast<uint32_t>(imm)
-                                  : a + b;
-                ri.effAddr = ea;
-                uint32_t bytes =
-                    inst.width == isa::MemWidth::Byte ? 1u : 4u;
-                check_ea(ea, bytes);
-                if (inst.width == isa::MemWidth::Byte)
-                    mem_.writeByte(ea, static_cast<uint8_t>(b));
-                else
-                    mem_.writeWord(ea, b);
-                break;
-              }
-              case Opcode::BEQ: ri.taken = sa == sb; break;
-              case Opcode::BNE: ri.taken = sa != sb; break;
-              case Opcode::BLT: ri.taken = sa < sb; break;
-              case Opcode::BGE: ri.taken = sa >= sb; break;
-              case Opcode::BLTU: ri.taken = a < b; break;
-              case Opcode::BGEU: ri.taken = a >= b; break;
-              case Opcode::JMP:
-                ri.taken = true;
-                next_pc = static_cast<uint32_t>(imm);
-                break;
-              case Opcode::JAL:
-                ri.taken = true;
-                write_reg(inst.rd, static_cast<int32_t>(pc + 1));
-                next_pc = static_cast<uint32_t>(imm);
-                break;
-              case Opcode::JR:
-                ri.taken = true;
-                next_pc = a;
-                break;
-              case Opcode::FADD:
-                fregs[inst.rd] = fregs[inst.rs1] + fregs[inst.rs2];
-                break;
-              case Opcode::FSUB:
-                fregs[inst.rd] = fregs[inst.rs1] - fregs[inst.rs2];
-                break;
-              case Opcode::FMUL:
-                fregs[inst.rd] = fregs[inst.rs1] * fregs[inst.rs2];
-                break;
-              case Opcode::FDIV:
-                fregs[inst.rd] = fregs[inst.rs1] / fregs[inst.rs2];
-                break;
-              case Opcode::FLOAD: {
-                uint32_t ea = inst.mode == isa::AddrMode::BaseOffset
-                                  ? a + static_cast<uint32_t>(imm)
-                                  : a + b;
-                ri.effAddr = ea;
-                check_ea(ea, 4);
-                uint32_t bits = mem_.readWord(ea);
-                float f;
-                std::memcpy(&f, &bits, 4);
-                fregs[inst.rd] = f;
-                break;
-              }
-              case Opcode::FSTORE: {
-                uint32_t ea = a + static_cast<uint32_t>(imm);
-                ri.effAddr = ea;
-                check_ea(ea, 4);
-                uint32_t bits;
-                std::memcpy(&bits, &fregs[inst.rs2], 4);
-                mem_.writeWord(ea, bits);
-                break;
-              }
-              case Opcode::CVTIF:
-                fregs[inst.rd] = static_cast<float>(sa);
-                break;
-              case Opcode::CVTFI:
-                write_reg(inst.rd,
-                          static_cast<int32_t>(fregs[inst.rs1]));
-                break;
-              case Opcode::PRINT:
-                result.output.push_back(sa);
-                break;
-              case Opcode::HALT:
-                ++result.instructions;
-                ri.nextPc = pc;
-                observer(ri);
-                result.halted = true;
-                result.exitValue = read_reg(isa::reg::Arg0);
-                pc_ = pc;
-                return result;
-              case Opcode::NOP:
-                break;
-              default:
+            wr(d->inst.rd,
+               (a == INT32_MIN && b == -1) ? INT32_MIN : a / b);
+            ELAG_NEXT(pc + 1);
+          }
+          case Handler::REM: {
+            const int32_t a = regs[d->inst.rs1];
+            const int32_t b = regs[d->inst.rs2];
+            if (b == 0) [[unlikely]] {
                 throw GuestTrapError(
-                    GuestTrapKind::BadOpcode, pc,
-                    formatString("emulator: bad opcode at pc %u",
+                    GuestTrapKind::RemainderByZero, pc,
+                    formatString("emulator: remainder by zero at pc %u",
                                  pc));
             }
+            wr(d->inst.rd, (a == INT32_MIN && b == -1) ? 0 : a % b);
+            ELAG_NEXT(pc + 1);
+          }
+          case Handler::AND: {
+            wr(d->inst.rd, regs[d->inst.rs1] & regs[d->inst.rs2]);
+            ELAG_NEXT(pc + 1);
+          }
+          case Handler::OR: {
+            wr(d->inst.rd, regs[d->inst.rs1] | regs[d->inst.rs2]);
+            ELAG_NEXT(pc + 1);
+          }
+          case Handler::XOR: {
+            wr(d->inst.rd, regs[d->inst.rs1] ^ regs[d->inst.rs2]);
+            ELAG_NEXT(pc + 1);
+          }
+          case Handler::SLL: {
+            wr(d->inst.rd,
+               static_cast<int32_t>(
+                   static_cast<uint32_t>(regs[d->inst.rs1])
+                   << (static_cast<uint32_t>(regs[d->inst.rs2]) & 31)));
+            ELAG_NEXT(pc + 1);
+          }
+          case Handler::SRL: {
+            wr(d->inst.rd,
+               static_cast<int32_t>(
+                   static_cast<uint32_t>(regs[d->inst.rs1]) >>
+                   (static_cast<uint32_t>(regs[d->inst.rs2]) & 31)));
+            ELAG_NEXT(pc + 1);
+          }
+          case Handler::SRA: {
+            wr(d->inst.rd,
+               regs[d->inst.rs1] >>
+                   (static_cast<uint32_t>(regs[d->inst.rs2]) & 31));
+            ELAG_NEXT(pc + 1);
+          }
+          case Handler::SLT: {
+            wr(d->inst.rd, regs[d->inst.rs1] < regs[d->inst.rs2]);
+            ELAG_NEXT(pc + 1);
+          }
+          case Handler::SLTU: {
+            wr(d->inst.rd, static_cast<uint32_t>(regs[d->inst.rs1]) <
+                               static_cast<uint32_t>(regs[d->inst.rs2]));
+            ELAG_NEXT(pc + 1);
+          }
+          case Handler::SEQ: {
+            wr(d->inst.rd, regs[d->inst.rs1] == regs[d->inst.rs2]);
+            ELAG_NEXT(pc + 1);
+          }
+          case Handler::ADDI: {
+            wr(d->inst.rd, regs[d->inst.rs1] + d->inst.imm);
+            ELAG_NEXT(pc + 1);
+          }
+          case Handler::ANDI: {
+            wr(d->inst.rd, regs[d->inst.rs1] & d->inst.imm);
+            ELAG_NEXT(pc + 1);
+          }
+          case Handler::ORI: {
+            wr(d->inst.rd, regs[d->inst.rs1] | d->inst.imm);
+            ELAG_NEXT(pc + 1);
+          }
+          case Handler::XORI: {
+            wr(d->inst.rd, regs[d->inst.rs1] ^ d->inst.imm);
+            ELAG_NEXT(pc + 1);
+          }
+          case Handler::SLLI: {
+            wr(d->inst.rd,
+               static_cast<int32_t>(
+                   static_cast<uint32_t>(regs[d->inst.rs1])
+                   << (d->inst.imm & 31)));
+            ELAG_NEXT(pc + 1);
+          }
+          case Handler::SRLI: {
+            wr(d->inst.rd,
+               static_cast<int32_t>(
+                   static_cast<uint32_t>(regs[d->inst.rs1]) >>
+                   (d->inst.imm & 31)));
+            ELAG_NEXT(pc + 1);
+          }
+          case Handler::SRAI: {
+            wr(d->inst.rd, regs[d->inst.rs1] >> (d->inst.imm & 31));
+            ELAG_NEXT(pc + 1);
+          }
+          case Handler::SLTI: {
+            wr(d->inst.rd, regs[d->inst.rs1] < d->inst.imm);
+            ELAG_NEXT(pc + 1);
+          }
+          case Handler::LUI: {
+            wr(d->inst.rd, d->inst.imm << 16);
+            ELAG_NEXT(pc + 1);
+          }
 
-            // Conditional branches pick their target here; explicit
-            // transfers validate it like the predecoded loops do
-            // (== size flows to the next iteration's range trap).
-            if (inst.isCondBranch() && ri.taken)
-                next_pc = static_cast<uint32_t>(imm);
-            if (next_pc > size) {
-                throw GuestTrapError(
-                    GuestTrapKind::PcOutOfRange, pc,
-                    formatString("emulator: control transfer to PC "
-                                 "0x%x out of range at pc %u",
-                                 next_pc, pc));
+          case Handler::LOAD_BO_W: {
+            const uint32_t ea =
+                static_cast<uint32_t>(regs[d->inst.rs1]) +
+                static_cast<uint32_t>(d->inst.imm);
+            ELAG_CHECK_EA(ea, 4);
+            ri.effAddr = ea;
+            wr(d->inst.rd, static_cast<int32_t>(mem_.readWord(ea)));
+            ELAG_NEXT(pc + 1);
+          }
+          case Handler::LOAD_BO_B: {
+            const uint32_t ea =
+                static_cast<uint32_t>(regs[d->inst.rs1]) +
+                static_cast<uint32_t>(d->inst.imm);
+            ELAG_CHECK_EA(ea, 1);
+            ri.effAddr = ea;
+            wr(d->inst.rd, static_cast<int32_t>(mem_.readByte(ea)));
+            ELAG_NEXT(pc + 1);
+          }
+          case Handler::LOAD_BI_W: {
+            const uint32_t ea =
+                static_cast<uint32_t>(regs[d->inst.rs1]) +
+                static_cast<uint32_t>(regs[d->inst.rs2]);
+            ELAG_CHECK_EA(ea, 4);
+            ri.effAddr = ea;
+            wr(d->inst.rd, static_cast<int32_t>(mem_.readWord(ea)));
+            ELAG_NEXT(pc + 1);
+          }
+          case Handler::LOAD_BI_B: {
+            const uint32_t ea =
+                static_cast<uint32_t>(regs[d->inst.rs1]) +
+                static_cast<uint32_t>(regs[d->inst.rs2]);
+            ELAG_CHECK_EA(ea, 1);
+            ri.effAddr = ea;
+            wr(d->inst.rd, static_cast<int32_t>(mem_.readByte(ea)));
+            ELAG_NEXT(pc + 1);
+          }
+
+          case Handler::STORE_BO_W: {
+            const uint32_t ea =
+                static_cast<uint32_t>(regs[d->inst.rs1]) +
+                static_cast<uint32_t>(d->inst.imm);
+            ELAG_CHECK_EA(ea, 4);
+            ri.effAddr = ea;
+            mem_.writeWord(ea, static_cast<uint32_t>(regs[d->inst.rs2]));
+            ELAG_NEXT(pc + 1);
+          }
+          case Handler::STORE_BO_B: {
+            const uint32_t ea =
+                static_cast<uint32_t>(regs[d->inst.rs1]) +
+                static_cast<uint32_t>(d->inst.imm);
+            ELAG_CHECK_EA(ea, 1);
+            ri.effAddr = ea;
+            mem_.writeByte(ea, static_cast<uint8_t>(regs[d->inst.rs2]));
+            ELAG_NEXT(pc + 1);
+          }
+          case Handler::STORE_BI_W: {
+            const uint32_t ea =
+                static_cast<uint32_t>(regs[d->inst.rs1]) +
+                static_cast<uint32_t>(regs[d->inst.rs2]);
+            ELAG_CHECK_EA(ea, 4);
+            ri.effAddr = ea;
+            mem_.writeWord(ea, static_cast<uint32_t>(regs[d->inst.rs2]));
+            ELAG_NEXT(pc + 1);
+          }
+          case Handler::STORE_BI_B: {
+            const uint32_t ea =
+                static_cast<uint32_t>(regs[d->inst.rs1]) +
+                static_cast<uint32_t>(regs[d->inst.rs2]);
+            ELAG_CHECK_EA(ea, 1);
+            ri.effAddr = ea;
+            mem_.writeByte(ea, static_cast<uint8_t>(regs[d->inst.rs2]));
+            ELAG_NEXT(pc + 1);
+          }
+
+          case Handler::BEQ: {
+            if (regs[d->inst.rs1] == regs[d->inst.rs2]) {
+                ri.taken = true;
+                ELAG_CHECK_TARGET(d->target);
+                ELAG_NEXT(d->target);
             }
+            ELAG_NEXT(pc + 1);
+          }
+          case Handler::BNE: {
+            if (regs[d->inst.rs1] != regs[d->inst.rs2]) {
+                ri.taken = true;
+                ELAG_CHECK_TARGET(d->target);
+                ELAG_NEXT(d->target);
+            }
+            ELAG_NEXT(pc + 1);
+          }
+          case Handler::BLT: {
+            if (regs[d->inst.rs1] < regs[d->inst.rs2]) {
+                ri.taken = true;
+                ELAG_CHECK_TARGET(d->target);
+                ELAG_NEXT(d->target);
+            }
+            ELAG_NEXT(pc + 1);
+          }
+          case Handler::BGE: {
+            if (regs[d->inst.rs1] >= regs[d->inst.rs2]) {
+                ri.taken = true;
+                ELAG_CHECK_TARGET(d->target);
+                ELAG_NEXT(d->target);
+            }
+            ELAG_NEXT(pc + 1);
+          }
+          case Handler::BLTU: {
+            if (static_cast<uint32_t>(regs[d->inst.rs1]) <
+                static_cast<uint32_t>(regs[d->inst.rs2])) {
+                ri.taken = true;
+                ELAG_CHECK_TARGET(d->target);
+                ELAG_NEXT(d->target);
+            }
+            ELAG_NEXT(pc + 1);
+          }
+          case Handler::BGEU: {
+            if (static_cast<uint32_t>(regs[d->inst.rs1]) >=
+                static_cast<uint32_t>(regs[d->inst.rs2])) {
+                ri.taken = true;
+                ELAG_CHECK_TARGET(d->target);
+                ELAG_NEXT(d->target);
+            }
+            ELAG_NEXT(pc + 1);
+          }
 
-            ri.nextPc = next_pc;
+          case Handler::JMP: {
+            ri.taken = true;
+            ELAG_CHECK_TARGET(d->target);
+            ELAG_NEXT(d->target);
+          }
+          case Handler::JAL: {
+            ri.taken = true;
+            wr(d->inst.rd, static_cast<int32_t>(pc + 1));
+            ELAG_CHECK_TARGET(d->target);
+            ELAG_NEXT(d->target);
+          }
+          case Handler::JR: {
+            ri.taken = true;
+            const uint32_t t = static_cast<uint32_t>(regs[d->inst.rs1]);
+            ELAG_CHECK_TARGET(t);
+            ELAG_NEXT(t);
+          }
+
+          case Handler::FADD: {
+            fregs[d->inst.rd] = fregs[d->inst.rs1] + fregs[d->inst.rs2];
+            ELAG_NEXT(pc + 1);
+          }
+          case Handler::FSUB: {
+            fregs[d->inst.rd] = fregs[d->inst.rs1] - fregs[d->inst.rs2];
+            ELAG_NEXT(pc + 1);
+          }
+          case Handler::FMUL: {
+            fregs[d->inst.rd] = fregs[d->inst.rs1] * fregs[d->inst.rs2];
+            ELAG_NEXT(pc + 1);
+          }
+          case Handler::FDIV: {
+            fregs[d->inst.rd] = fregs[d->inst.rs1] / fregs[d->inst.rs2];
+            ELAG_NEXT(pc + 1);
+          }
+
+          case Handler::FLOAD_BO: {
+            const uint32_t ea =
+                static_cast<uint32_t>(regs[d->inst.rs1]) +
+                static_cast<uint32_t>(d->inst.imm);
+            ELAG_CHECK_EA(ea, 4);
+            ri.effAddr = ea;
+            const uint32_t bits = mem_.readWord(ea);
+            float f;
+            std::memcpy(&f, &bits, 4);
+            fregs[d->inst.rd] = f;
+            ELAG_NEXT(pc + 1);
+          }
+          case Handler::FLOAD_BI: {
+            const uint32_t ea =
+                static_cast<uint32_t>(regs[d->inst.rs1]) +
+                static_cast<uint32_t>(regs[d->inst.rs2]);
+            ELAG_CHECK_EA(ea, 4);
+            ri.effAddr = ea;
+            const uint32_t bits = mem_.readWord(ea);
+            float f;
+            std::memcpy(&f, &bits, 4);
+            fregs[d->inst.rd] = f;
+            ELAG_NEXT(pc + 1);
+          }
+          case Handler::FSTORE: {
+            const uint32_t ea =
+                static_cast<uint32_t>(regs[d->inst.rs1]) +
+                static_cast<uint32_t>(d->inst.imm);
+            ELAG_CHECK_EA(ea, 4);
+            ri.effAddr = ea;
+            uint32_t bits;
+            std::memcpy(&bits, &fregs[d->inst.rs2], 4);
+            mem_.writeWord(ea, bits);
+            ELAG_NEXT(pc + 1);
+          }
+
+          case Handler::CVTIF: {
+            fregs[d->inst.rd] =
+                static_cast<float>(regs[d->inst.rs1]);
+            ELAG_NEXT(pc + 1);
+          }
+          case Handler::CVTFI: {
+            wr(d->inst.rd, static_cast<int32_t>(fregs[d->inst.rs1]));
+            ELAG_NEXT(pc + 1);
+          }
+
+          case Handler::PRINT: {
+            result.output.push_back(regs[d->inst.rs1]);
+            ELAG_NEXT(pc + 1);
+          }
+          case Handler::HALT: {
             ++result.instructions;
+            ri.nextPc = pc;
             observer(ri);
-            pc = next_pc;
+            result.halted = true;
+            result.exitValue = regs[isa::reg::Arg0];
+            pc_ = pc;
+            return result;
+          }
+          case Handler::NOP: {
+            ELAG_NEXT(pc + 1);
+          }
+
+          case Handler::TRAP_BADOP: {
+            throw GuestTrapError(
+                GuestTrapKind::BadOpcode, pc,
+                formatString("emulator: bad opcode at pc %u", pc));
+          }
+          case Handler::TRAP_PCRANGE: {
+            throw GuestTrapError(
+                GuestTrapKind::PcOutOfRange, pc,
+                formatString("emulator: PC 0x%x out of range", pc));
+          }
+
+          default:
+            panic("emulator: invalid handler index %d",
+                  static_cast<int>(d->handler));
         }
+        panic("emulator: dispatch loop fell through");
+
+      capped:
         pc_ = pc;
         result.halted = false;
         return result;
     } catch (...) {
+        // Guest traps and watchdog timeouts (thrown by the observer)
+        // unwind through here: persist the architected PC so a
+        // checkpoint taken after the catch holds the faulting PC.
         pc_ = pc;
         throw;
     }
 }
+
+#undef ELAG_LOADRI
+#undef ELAG_NEXT
+#undef ELAG_CHECK_TARGET
+#undef ELAG_CHECK_EA
 
 inline EmulationResult
 Emulator::run(uint64_t max_instructions)

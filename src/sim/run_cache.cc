@@ -3,6 +3,7 @@
 #include <chrono>
 
 #include "obs/metrics.hh"
+#include "support/hash.hh"
 #include "support/logging.hh"
 
 namespace elag {
@@ -44,31 +45,6 @@ struct CacheCounters
     }
 };
 
-/** FNV-1a, folded field by field so struct padding never leaks in. */
-struct Fnv1a
-{
-    uint64_t state = 1469598103934665603ull;
-
-    void
-    mix(uint64_t value)
-    {
-        // Hash all 8 bytes of the value, byte by byte.
-        for (int i = 0; i < 8; ++i) {
-            state ^= (value >> (8 * i)) & 0xff;
-            state *= 1099511628211ull;
-        }
-    }
-
-    void
-    mixBytes(const uint8_t *data, size_t n)
-    {
-        for (size_t i = 0; i < n; ++i) {
-            state ^= data[i];
-            state *= 1099511628211ull;
-        }
-    }
-};
-
 void
 mixCacheConfig(Fnv1a &h, const mem::CacheConfig &cfg)
 {
@@ -84,7 +60,7 @@ mixCacheConfig(Fnv1a &h, const mem::CacheConfig &cfg)
 uint64_t
 hashProgram(const isa::MachineProgram &program)
 {
-    Fnv1a h;
+    Fnv1a h(Fnv1a::kContentBasis);
     h.mix(program.code.size());
     for (const isa::Instruction &inst : program.code) {
         h.mix(static_cast<uint64_t>(inst.op));
@@ -100,13 +76,13 @@ hashProgram(const isa::MachineProgram &program)
     h.mix(program.globalSize);
     h.mix(program.globalInit.size());
     h.mixBytes(program.globalInit.data(), program.globalInit.size());
-    return h.state;
+    return h.value();
 }
 
 uint64_t
 hashConfig(const pipeline::MachineConfig &config)
 {
-    Fnv1a h;
+    Fnv1a h(Fnv1a::kContentBasis);
     h.mix(config.issueWidth);
     h.mix(config.intAlus);
     h.mix(config.memPorts);
@@ -126,7 +102,7 @@ hashConfig(const pipeline::MachineConfig &config)
     h.mix(config.earlyCalcEnabled ? 1 : 0);
     h.mix(config.registerCacheSize);
     h.mix(static_cast<uint64_t>(config.selection));
-    return h.state;
+    return h.value();
 }
 
 RunCache &
@@ -142,12 +118,12 @@ runKey(const CompiledProgram &prog,
        const pipeline::MachineConfig &machine,
        uint64_t max_instructions, bool with_telemetry)
 {
-    Fnv1a h;
+    Fnv1a h(Fnv1a::kContentBasis);
     h.mix(hashProgram(prog.code.program));
     h.mix(hashConfig(machine));
     h.mix(max_instructions);
     h.mix(with_telemetry ? 1 : 0);
-    return h.state;
+    return h.value();
 }
 
 TimedResult

@@ -5,6 +5,7 @@
 #include <cstdio>
 
 #include "obs/metrics.hh"
+#include "support/hash.hh"
 #include "support/logging.hh"
 #include "support/random.hh"
 #include "workloads/synthetic/distributions.hh"
@@ -292,14 +293,11 @@ struct Emitter
 std::string
 sourceHash(const std::string &source)
 {
-    uint64_t h = 1469598103934665603ull;
-    for (unsigned char c : source) {
-        h ^= c;
-        h *= 1099511628211ull;
-    }
+    Fnv1a h(Fnv1a::kContentBasis);
+    h.mixBytes(source.data(), source.size());
     char buf[17];
     snprintf(buf, sizeof(buf), "%016llx",
-             static_cast<unsigned long long>(h));
+             static_cast<unsigned long long>(h.value()));
     return buf;
 }
 

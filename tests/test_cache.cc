@@ -18,6 +18,7 @@
 #include <string>
 
 #include "cache/persistent_store.hh"
+#include "support/hash.hh"
 #include "support/logging.hh"
 #include "support/strings.hh"
 
@@ -76,11 +77,10 @@ fileExists(const std::string &path)
 TEST(Crc32, MatchesKnownVectors)
 {
     // The canonical IEEE check value.
-    EXPECT_EQ(cache::crc32("123456789", 9), 0xcbf43926u);
-    EXPECT_EQ(cache::crc32("", 0), 0u);
+    EXPECT_EQ(crc32("123456789", 9), 0xcbf43926u);
+    EXPECT_EQ(crc32("", 0), 0u);
     // Sensitivity: one flipped bit changes the sum.
-    EXPECT_NE(cache::crc32("123456788", 9),
-              cache::crc32("123456789", 9));
+    EXPECT_NE(crc32("123456788", 9), crc32("123456789", 9));
 }
 
 TEST(CacheStore, RoundTripAndStats)

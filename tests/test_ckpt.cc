@@ -396,6 +396,20 @@ TEST(CkptEquivalence, HoldsAtOddBoundariesAndWithChecker)
     EXPECT_TRUE(diff.equivalent) << diff.detail;
 }
 
+TEST(CkptEquivalence, RunKeyHashHasKnownAnswer)
+{
+    // hashRunKey names checkpoint files: stable across releases.
+    sim::CkptRunKey key;
+    key.programHash = 0x0123456789abcdefull;
+    key.machineHash = 0xfedcba9876543210ull;
+    key.baselineHash = 42;
+    key.maxInstructions = 500'000'000;
+    key.hasChecker = true;
+    key.injectorPlan = "chaos";
+    key.injectorSeed = 7;
+    EXPECT_EQ(sim::hashRunKey(key), 0x65e32f5f7d55f693ull);
+}
+
 TEST(CkptEquivalence, ResumeRejectsDifferentRunIdentity)
 {
     std::string path = tempPath("ckpt_identity.ckpt");

@@ -1,17 +1,16 @@
 /**
  * @file
- * Predecode + dispatch-engine tests.
+ * Predecode + dispatch tests.
  *
- * The contract under test: the computed-goto (threaded) and portable
- * switch dispatch loops are observably identical — same committed
- * stream, same stats documents byte for byte, same guest traps —
- * because they share one set of handler bodies; and the legacy
- * decode-as-you-go reference interpreter (which shares none of the
- * predecode machinery) agrees with both, pinning the predecoder
- * against an independent oracle. Plus unit coverage of the predecoder
- * itself (flag words, handler specialization, branch target
- * pre-splitting, the past-the-end sentinel, the process-wide stream
- * cache) and the typed guest-fault taxonomy.
+ * The contract under test: the emulator's predecoded dispatch loop
+ * and the decode-as-you-go reference interpreter
+ * (verify/reference_interp.hh), which shares none of the predecode
+ * machinery, are observably identical — same stats documents byte for
+ * byte, same guest traps, same architectural state at any
+ * instruction cap — pinning the predecoder against an independent
+ * oracle. Plus unit coverage of the predecoder itself (flag words,
+ * handler specialization, branch target pre-splitting, the
+ * past-the-end sentinel, the process-wide stream cache).
  */
 
 #include <gtest/gtest.h>
@@ -21,33 +20,19 @@
 #include "ckpt/serial.hh"
 #include "isa/builder.hh"
 #include "pipeline/telemetry.hh"
-#include "sim/ckpt_run.hh"
 #include "sim/decoded.hh"
 #include "sim/emulator.hh"
 #include "sim/simulator.hh"
 #include "support/logging.hh"
-#include "verify/ckpt_diff.hh"
 #include "verify/invariant_checker.hh"
 #include "verify/program_gen.hh"
+#include "verify/reference_interp.hh"
 
 using namespace elag;
 using namespace elag::isa;
 namespace build = elag::isa::build;
 
 namespace {
-
-/** Restore the Auto dispatch mode however a test exits. */
-struct DispatchModeGuard
-{
-    explicit DispatchModeGuard(sim::DispatchMode mode)
-    {
-        sim::setDispatchMode(mode);
-    }
-    ~DispatchModeGuard()
-    {
-        sim::setDispatchMode(sim::DispatchMode::Auto);
-    }
-};
 
 /** Assemble a raw program (no globals). */
 isa::MachineProgram
@@ -63,23 +48,68 @@ assemble(std::vector<Instruction> code)
 
 /**
  * The full machine-readable stats document of one verified timed run
- * under the given dispatch mode — the byte-identity anchor.
+ * — the byte-identity anchor — from the emulator or, with
+ * @p reference, from the reference interpreter.
  */
 std::string
-statsDocUnder(const sim::CompiledProgram &prog, sim::DispatchMode mode)
+statsDoc(const sim::CompiledProgram &prog, bool reference)
 {
-    DispatchModeGuard guard(mode);
     pipeline::LoadTelemetry telemetry;
     verify::InvariantChecker checker;
     std::vector<pipeline::Observer *> observers{&telemetry, &checker};
-    auto base = sim::runTimed(
-        prog, pipeline::MachineConfig::baseline());
-    auto timed = sim::runTimed(prog,
-                               pipeline::MachineConfig::proposed(),
-                               500'000'000, observers);
+    const auto baseline = pipeline::MachineConfig::baseline();
+    const auto proposed = pipeline::MachineConfig::proposed();
+    sim::TimedResult base, timed;
+    if (reference) {
+        base = verify::runTimedReference(prog, baseline);
+        timed = verify::runTimedReference(prog, proposed, observers);
+    } else {
+        base = sim::runTimed(prog, baseline);
+        timed = sim::runTimed(prog, proposed, 500'000'000, observers);
+    }
     checker.finish(timed.pipe);
     return sim::statsReportJson("<dispatch-diff>", "proposed", "",
                                 prog, base, timed, telemetry);
+}
+
+/** The guest trap @p Engine raises running @p prog, with the
+ *  architected PC its checkpoint holds afterwards. */
+template <typename Engine>
+std::pair<sim::GuestTrapError, uint32_t>
+trapOf(const isa::MachineProgram &prog)
+{
+    Engine engine(prog);
+    try {
+        engine.run();
+    } catch (const sim::GuestTrapError &e) {
+        ckpt::Writer w;
+        engine.serialize(w);
+        ckpt::Reader r(w.data().data(), w.size());
+        return {e, r.u32()};
+    }
+    ADD_FAILURE() << "expected a guest trap";
+    return {sim::GuestTrapError(sim::GuestTrapKind::BadOpcode, 0,
+                                "unreached"),
+            0};
+}
+
+/**
+ * The emulator's trap on @p prog, after checking that the reference
+ * interpreter raises the same one: kind, PC, message, and the PC
+ * left in the architectural state.
+ */
+sim::GuestTrapError
+agreedTrap(const isa::MachineProgram &prog)
+{
+    auto [emu, emu_pc] = trapOf<sim::Emulator>(prog);
+    auto [ref, ref_pc] = trapOf<verify::ReferenceInterpreter>(prog);
+    EXPECT_EQ(emu.kind(), ref.kind());
+    EXPECT_EQ(emu.trapPc(), ref.trapPc());
+    EXPECT_STREQ(emu.what(), ref.what());
+    // The checkpointed PC is the faulting instruction's.
+    EXPECT_EQ(emu_pc, emu.trapPc());
+    EXPECT_EQ(ref_pc, ref.trapPc());
+    return emu;
 }
 
 } // namespace
@@ -193,46 +223,13 @@ TEST(Predecode, StreamCacheSharesByContentHash)
 }
 
 // ---------------------------------------------------------------
-// Typed guest traps, under both dispatch modes.
+// Typed guest traps: the emulator and the reference interpreter
+// agree on kind, PC and message.
 // ---------------------------------------------------------------
 
-class GuestTraps
-    : public ::testing::TestWithParam<sim::DispatchMode>
+TEST(GuestTraps, DivideAndRemainderByZero)
 {
-  protected:
-    void
-    SetUp() override
-    {
-        if (GetParam() == sim::DispatchMode::Threaded &&
-            !sim::threadedDispatchCompiled()) {
-            GTEST_SKIP() << "threaded dispatch not compiled in";
-        }
-        sim::setDispatchMode(GetParam());
-    }
-    void
-    TearDown() override
-    {
-        sim::setDispatchMode(sim::DispatchMode::Auto);
-    }
-
-    static sim::GuestTrapError
-    trapOf(const isa::MachineProgram &prog)
-    {
-        sim::Emulator emu(prog);
-        try {
-            emu.run();
-        } catch (const sim::GuestTrapError &e) {
-            return e;
-        }
-        ADD_FAILURE() << "expected a guest trap";
-        return sim::GuestTrapError(sim::GuestTrapKind::BadOpcode, 0,
-                                   "unreached");
-    }
-};
-
-TEST_P(GuestTraps, DivideAndRemainderByZero)
-{
-    auto div = trapOf(assemble({
+    auto div = agreedTrap(assemble({
         build::li(10, 7),
         build::rrr(Opcode::DIV, 11, 10, 0),
         build::halt(),
@@ -240,7 +237,7 @@ TEST_P(GuestTraps, DivideAndRemainderByZero)
     EXPECT_EQ(div.kind(), sim::GuestTrapKind::DivideByZero);
     EXPECT_EQ(div.trapPc(), 1u);
 
-    auto rem = trapOf(assemble({
+    auto rem = agreedTrap(assemble({
         build::rrr(Opcode::REM, 11, 10, 0),
         build::halt(),
     }));
@@ -248,16 +245,16 @@ TEST_P(GuestTraps, DivideAndRemainderByZero)
     EXPECT_EQ(rem.trapPc(), 0u);
 }
 
-TEST_P(GuestTraps, FallingOffTheEndIsPcOutOfRange)
+TEST(GuestTraps, FallingOffTheEndIsPcOutOfRange)
 {
-    auto trap = trapOf(assemble({build::nop(), build::nop()}));
+    auto trap = agreedTrap(assemble({build::nop(), build::nop()}));
     EXPECT_EQ(trap.kind(), sim::GuestTrapKind::PcOutOfRange);
     EXPECT_EQ(trap.trapPc(), 2u);
 }
 
-TEST_P(GuestTraps, WildIndirectJumpIsPcOutOfRange)
+TEST(GuestTraps, WildIndirectJumpIsPcOutOfRange)
 {
-    auto trap = trapOf(assemble({
+    auto trap = agreedTrap(assemble({
         build::li(10, 0x100000),
         build::jr(10),
         build::halt(),
@@ -266,9 +263,9 @@ TEST_P(GuestTraps, WildIndirectJumpIsPcOutOfRange)
     EXPECT_EQ(trap.trapPc(), 1u);
 }
 
-TEST_P(GuestTraps, OutOfRangeEffectiveAddressIsBadAddress)
+TEST(GuestTraps, OutOfRangeEffectiveAddressIsBadAddress)
 {
-    auto load = trapOf(assemble({
+    auto load = agreedTrap(assemble({
         build::li(10, -4),
         build::load(LoadSpec::Normal, 11, 10, 0),
         build::halt(),
@@ -276,7 +273,7 @@ TEST_P(GuestTraps, OutOfRangeEffectiveAddressIsBadAddress)
     EXPECT_EQ(load.kind(), sim::GuestTrapKind::BadAddress);
     EXPECT_EQ(load.trapPc(), 1u);
 
-    auto store = trapOf(assemble({
+    auto store = agreedTrap(assemble({
         build::li(10, -4),
         build::store(10, 10, 0),
         build::halt(),
@@ -284,56 +281,28 @@ TEST_P(GuestTraps, OutOfRangeEffectiveAddressIsBadAddress)
     EXPECT_EQ(store.kind(), sim::GuestTrapKind::BadAddress);
 }
 
-TEST_P(GuestTraps, BadOpcodeTrapsLazily)
+TEST(GuestTraps, BadOpcodeTrapsLazily)
 {
     // The junk opcode sits past HALT: predecode must stay lazy and
     // the program must run.
     Instruction junk;
     junk.op = static_cast<Opcode>(200);
     {
+        // Built from temporaries: the emulator keeps only the shared
+        // predecoded stream, the reference interpreter its own copy.
         sim::Emulator emu(assemble({build::halt(), junk}));
-        auto result = emu.run();
-        EXPECT_TRUE(result.halted);
+        EXPECT_TRUE(emu.run().halted);
+        verify::ReferenceInterpreter ref(assemble({build::halt(), junk}));
+        EXPECT_TRUE(ref.run().halted);
     }
     // Reached, it traps with the typed kind.
-    auto trap = trapOf(assemble({junk, build::halt()}));
+    auto trap = agreedTrap(assemble({junk, build::halt()}));
     EXPECT_EQ(trap.kind(), sim::GuestTrapKind::BadOpcode);
     EXPECT_EQ(trap.trapPc(), 0u);
 }
 
-TEST_P(GuestTraps, TrapPreservesArchitecturalPc)
-{
-    // After a trap, a checkpoint of the emulator must hold the
-    // faulting instruction's PC, in either dispatch mode.
-    auto prog = assemble({
-        build::li(10, 7),
-        build::rrr(Opcode::DIV, 11, 10, 0),
-        build::halt(),
-    });
-    sim::Emulator emu(prog);
-    EXPECT_THROW(emu.run(), sim::GuestTrapError);
-    ckpt::Writer w;
-    emu.serialize(w);
-    ckpt::Reader r(w.data().data(), w.size());
-    EXPECT_EQ(r.u32(), 1u);
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Modes, GuestTraps,
-    ::testing::Values(sim::DispatchMode::Switch,
-                      sim::DispatchMode::Threaded,
-                      sim::DispatchMode::Legacy),
-    [](const ::testing::TestParamInfo<sim::DispatchMode> &info) {
-        switch (info.param) {
-          case sim::DispatchMode::Switch: return "Switch";
-          case sim::DispatchMode::Threaded: return "Threaded";
-          default: return "Legacy";
-        }
-    });
-
 // ---------------------------------------------------------------
-// Differential: threaded vs. switch vs. legacy, byte-identical
-// stats.
+// Differential: emulator vs. reference interpreter.
 // ---------------------------------------------------------------
 
 TEST(DispatchDifferential, GeneratedProgramsMatchByteForByte)
@@ -345,23 +314,11 @@ TEST(DispatchDifferential, GeneratedProgramsMatchByteForByte)
     for (int i = 0; i < kPrograms; ++i) {
         std::string source = gen.generate();
         sim::CompiledProgram prog = sim::compile(source);
-        std::string switched =
-            statsDocUnder(prog, sim::DispatchMode::Switch);
-        ASSERT_NE(switched.find("\"cycles\""), std::string::npos);
-        // The legacy interpreter shares no predecode machinery with
-        // the switch loop: agreement here pins the predecoder itself.
-        std::string legacy =
-            statsDocUnder(prog, sim::DispatchMode::Legacy);
-        ASSERT_EQ(switched, legacy)
-            << "legacy interpreter diverged on generated program "
-            << i << " (seed 20260809)";
-        if (sim::threadedDispatchCompiled()) {
-            std::string threaded =
-                statsDocUnder(prog, sim::DispatchMode::Threaded);
-            ASSERT_EQ(switched, threaded)
-                << "dispatch modes diverged on generated program "
-                << i << " (seed 20260809)";
-        }
+        std::string emulated = statsDoc(prog, false);
+        ASSERT_NE(emulated.find("\"cycles\""), std::string::npos);
+        ASSERT_EQ(emulated, statsDoc(prog, true))
+            << "emulator and reference interpreter diverged on "
+            << "generated program " << i << " (seed 20260809)";
     }
 }
 
@@ -372,115 +329,24 @@ TEST(DispatchDifferential, FunctionalResultsMatchIncludingCap)
     verify::ProgramGen gen(77);
     sim::CompiledProgram prog = sim::compile(gen.generate());
 
-    std::vector<sim::DispatchMode> modes = {sim::DispatchMode::Switch,
-                                            sim::DispatchMode::Legacy};
-    if (sim::threadedDispatchCompiled())
-        modes.push_back(sim::DispatchMode::Threaded);
-
-    // Odd caps land mid-program: the capped PC, retire count, and
-    // accumulated output must agree between modes.
+    // Odd caps land mid-program: the capped PC, retire count,
+    // accumulated output and architectural state must agree.
     for (uint64_t cap : {1ull, 37ull, 10'001ull, 500'000'000ull}) {
-        sim::EmulationResult ref;
-        ckpt::Writer wref;
-        for (size_t m = 0; m < modes.size(); ++m) {
-            DispatchModeGuard guard(modes[m]);
-            sim::Emulator emu(prog.code.program);
-            sim::EmulationResult got = emu.run(cap);
-            ckpt::Writer w;
-            emu.serialize(w);
-            if (m == 0) {
-                ref = got;
-                wref = std::move(w);
-                continue;
-            }
-            EXPECT_EQ(ref.instructions, got.instructions)
-                << "cap " << cap << " mode " << m;
-            EXPECT_EQ(ref.halted, got.halted)
-                << "cap " << cap << " mode " << m;
-            EXPECT_EQ(ref.exitValue, got.exitValue)
-                << "cap " << cap << " mode " << m;
-            EXPECT_EQ(ref.output, got.output)
-                << "cap " << cap << " mode " << m;
-            ASSERT_EQ(wref.size(), w.size())
-                << "cap " << cap << " mode " << m;
-            EXPECT_EQ(std::memcmp(wref.data().data(),
-                                  w.data().data(), wref.size()),
-                      0)
-                << "architectural state diverged at cap " << cap
-                << " mode " << m;
-        }
-    }
-}
-
-// ---------------------------------------------------------------
-// Checkpointing under threaded dispatch.
-// ---------------------------------------------------------------
-
-TEST(DispatchCkpt, KillResumeEquivalenceHoldsUnderThreadedDispatch)
-{
-    if (!sim::threadedDispatchCompiled())
-        GTEST_SKIP() << "threaded dispatch not compiled in";
-    setQuiet(true);
-    DispatchModeGuard guard(sim::DispatchMode::Threaded);
-    std::string path =
-        std::string(::testing::TempDir()) + "dispatch_equiv.ckpt";
-    verify::ProgramGen gen(4242);
-    verify::CkptDiffResult diff = verify::checkKillResumeEquivalence(
-        gen.generate(), path, 500'000'000, 15'000,
-        /*with_checker=*/true);
-    EXPECT_GT(diff.legs, 0u);
-    EXPECT_TRUE(diff.equivalent) << diff.detail;
-}
-
-TEST(DispatchCkpt, SnapshotCrossesDispatchModes)
-{
-    if (!sim::threadedDispatchCompiled())
-        GTEST_SKIP() << "threaded dispatch not compiled in";
-    setQuiet(true);
-    // Checkpoint mid-run under threaded dispatch, restore and finish
-    // under switch dispatch: checkpoints carry architectural state
-    // only, so the mode must not matter.
-    verify::ProgramGen gen(99);
-    sim::CompiledProgram prog = sim::compile(gen.generate());
-    auto machine = pipeline::MachineConfig::proposed();
-
-    // Snapshot mid-program: halve the program's own dynamic length
-    // rather than guessing a boundary.
-    uint64_t half;
-    {
         sim::Emulator emu(prog.code.program);
-        uint64_t total = emu.run().instructions;
-        ASSERT_GT(total, 2u);
-        half = total / 2;
+        verify::ReferenceInterpreter ref(prog.code.program);
+        sim::EmulationResult got = emu.run(cap);
+        sim::EmulationResult want = ref.run(cap);
+        EXPECT_EQ(want.instructions, got.instructions) << "cap " << cap;
+        EXPECT_EQ(want.halted, got.halted) << "cap " << cap;
+        EXPECT_EQ(want.exitValue, got.exitValue) << "cap " << cap;
+        EXPECT_EQ(want.output, got.output) << "cap " << cap;
+        ckpt::Writer wemu, wref;
+        emu.serialize(wemu);
+        ref.serialize(wref);
+        ASSERT_EQ(wref.size(), wemu.size()) << "cap " << cap;
+        EXPECT_EQ(std::memcmp(wref.data().data(), wemu.data().data(),
+                              wref.size()),
+                  0)
+            << "architectural state diverged at cap " << cap;
     }
-
-    sim::TimedResult whole;
-    {
-        DispatchModeGuard guard(sim::DispatchMode::Threaded);
-        whole = sim::runTimed(prog, machine);
-    }
-
-    ckpt::Writer w;
-    {
-        DispatchModeGuard guard(sim::DispatchMode::Threaded);
-        sim::ResumableTimedRun run(prog, machine, 500'000'000);
-        run.step(half, {});
-        ASSERT_FALSE(run.done());
-        run.serialize(w);
-    }
-    sim::TimedResult stitched;
-    {
-        DispatchModeGuard guard(sim::DispatchMode::Switch);
-        sim::ResumableTimedRun run(prog, machine, 500'000'000);
-        ckpt::Reader r(w.data().data(), w.size());
-        run.restore(r);
-        while (!run.done())
-            run.step(half, {});
-        stitched = run.finish();
-    }
-    EXPECT_EQ(whole.pipe.cycles, stitched.pipe.cycles);
-    EXPECT_EQ(whole.pipe.instructions, stitched.pipe.instructions);
-    EXPECT_EQ(whole.emulation.exitValue,
-              stitched.emulation.exitValue);
-    EXPECT_EQ(whole.emulation.output, stitched.emulation.output);
 }

@@ -49,9 +49,7 @@ struct StreamFeeder
     void
     feed(Instruction inst, uint32_t ea = 0)
     {
-        RetiredInst ri;
-        ri.pc = pc;
-        ri.inst = inst;
+        RetiredInst ri = makeRetired(pc, inst);
         ri.effAddr = ea;
         ri.nextPc = pc + 1;
         pipe.retire(ri);
@@ -61,9 +59,7 @@ struct StreamFeeder
     void
     feedBranch(Instruction inst, bool taken, uint32_t target)
     {
-        RetiredInst ri;
-        ri.pc = pc;
-        ri.inst = inst;
+        RetiredInst ri = makeRetired(pc, inst);
         ri.taken = taken;
         ri.nextPc = taken ? target : pc + 1;
         pipe.retire(ri);
@@ -206,20 +202,15 @@ TEST(Timing, PredictedLoadSavesOneCycle)
         // Same static load (same pc) re-executed via a backward
         // branch; feed manually with a fixed pc.
         for (int i = 0; i < 50; ++i) {
-            RetiredInst ld;
-            ld.pc = 100;
-            ld.inst = build::load(spec, 10, 1, 0);
+            RetiredInst ld = makeRetired(100, build::load(spec, 10, 1, 0));
             ld.effAddr = 0x1000 + static_cast<uint32_t>(i) * 4;
             ld.nextPc = 101;
             f.pipe.retire(ld);
-            RetiredInst use;
-            use.pc = 101;
-            use.inst = build::add(11, 10, 10);
+            RetiredInst use = makeRetired(101, build::add(11, 10, 10));
             use.nextPc = 102;
             f.pipe.retire(use);
-            RetiredInst br;
-            br.pc = 102;
-            br.inst = build::branch(Opcode::BLT, 5, 6, 100);
+            RetiredInst br =
+                makeRetired(102, build::branch(Opcode::BLT, 5, 6, 100));
             br.taken = i + 1 < 50;
             br.nextPc = br.taken ? 100 : 103;
             f.pipe.retire(br);
@@ -386,14 +377,11 @@ TEST(Timing, TrainedBtbRemovesMispredictPenalty)
     MachineConfig cfg = base();
     auto loop = [](StreamFeeder &f, int iters) {
         for (int i = 0; i < iters; ++i) {
-            RetiredInst body;
-            body.pc = 10;
-            body.inst = build::add(10, 10, 2);
+            RetiredInst body = makeRetired(10, build::add(10, 10, 2));
             body.nextPc = 11;
             f.pipe.retire(body);
-            RetiredInst br;
-            br.pc = 11;
-            br.inst = build::branch(Opcode::BLT, 3, 4, 10);
+            RetiredInst br =
+                makeRetired(11, build::branch(Opcode::BLT, 3, 4, 10));
             br.taken = i + 1 < iters;
             br.nextPc = br.taken ? 10 : 12;
             f.pipe.retire(br);
@@ -414,9 +402,8 @@ TEST(Timing, HardwareOnlyModePredictsEveryLoadKind)
     cfg.selection = SelectionPolicy::AllPredict;
     StreamFeeder f(cfg);
     for (int i = 0; i < 20; ++i) {
-        RetiredInst ld;
-        ld.pc = 7;
-        ld.inst = build::load(LoadSpec::Normal, 10, 1, 0); // ld_n!
+        RetiredInst ld = makeRetired(
+            7, build::load(LoadSpec::Normal, 10, 1, 0)); // ld_n!
         ld.effAddr = 0x500 + static_cast<uint32_t>(i) * 8;
         ld.nextPc = 8;
         f.pipe.retire(ld);
@@ -431,9 +418,8 @@ TEST(Timing, CompilerModeIgnoresNormalLoads)
     MachineConfig cfg = MachineConfig::proposed();
     StreamFeeder f(cfg);
     for (int i = 0; i < 20; ++i) {
-        RetiredInst ld;
-        ld.pc = 7;
-        ld.inst = build::load(LoadSpec::Normal, 10, 1, 0);
+        RetiredInst ld =
+            makeRetired(7, build::load(LoadSpec::Normal, 10, 1, 0));
         ld.effAddr = 0x500 + static_cast<uint32_t>(i) * 8;
         ld.nextPc = 8;
         f.pipe.retire(ld);
@@ -453,16 +439,12 @@ TEST(Timing, SpeculativeMissWarmsCacheForNormalAccess)
     MachineConfig cfg = MachineConfig::proposed();
     auto strided = [](StreamFeeder &f, LoadSpec spec, int iters) {
         for (int i = 0; i < iters; ++i) {
-            RetiredInst ld;
-            ld.pc = 30;
-            ld.inst = build::load(spec, 10, 1, 0);
+            RetiredInst ld = makeRetired(30, build::load(spec, 10, 1, 0));
             // New cache block every iteration: always cold.
             ld.effAddr = 0x10000 + static_cast<uint32_t>(i) * 64;
             ld.nextPc = 31;
             f.pipe.retire(ld);
-            RetiredInst use;
-            use.pc = 31;
-            use.inst = build::add(11, 10, 10);
+            RetiredInst use = makeRetired(31, build::add(11, 10, 10));
             use.nextPc = 32;
             f.pipe.retire(use);
         }
@@ -532,20 +514,15 @@ void
 runStridedLoop(StreamFeeder &f, LoadSpec spec, int iters = 50)
 {
     for (int i = 0; i < iters; ++i) {
-        RetiredInst ld;
-        ld.pc = 100;
-        ld.inst = build::load(spec, 10, 1, 0);
+        RetiredInst ld = makeRetired(100, build::load(spec, 10, 1, 0));
         ld.effAddr = 0x1000 + static_cast<uint32_t>(i) * 4;
         ld.nextPc = 101;
         f.pipe.retire(ld);
-        RetiredInst use;
-        use.pc = 101;
-        use.inst = build::add(11, 10, 10);
+        RetiredInst use = makeRetired(101, build::add(11, 10, 10));
         use.nextPc = 102;
         f.pipe.retire(use);
-        RetiredInst br;
-        br.pc = 102;
-        br.inst = build::branch(Opcode::BLT, 5, 6, 100);
+        RetiredInst br =
+            makeRetired(102, build::branch(Opcode::BLT, 5, 6, 100));
         br.taken = i + 1 < iters;
         br.nextPc = br.taken ? 100 : 103;
         f.pipe.retire(br);

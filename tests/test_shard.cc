@@ -172,6 +172,21 @@ TEST(Routing, PersistKeyCoversResultAffectingFieldsOnly)
     EXPECT_FALSE(changed([](Request &r) { r.trace = "cafe"; }));
 }
 
+TEST(Routing, HashesHaveKnownAnswers)
+{
+    // persistKey names on-disk cache records and routingHash picks a
+    // request's shard: both must stay fixed across releases.
+    Request request = workRequest("int main() { return 0; }");
+    request.spec = "{\"family\":\"strided\"}";
+    request.file = "kat.c";
+    request.selection = "compiler";
+    request.table = 512;
+    request.regs = 4;
+    request.noClassify = true;
+    EXPECT_EQ(routingHash(request), 0xe05f49b370c674b2ull);
+    EXPECT_EQ(persistKey(request), 0x90491b1fea3cff81ull);
+}
+
 // ---------------------------------------------------------------
 // In-process: reconnecting client and persistent-cache layering.
 // ---------------------------------------------------------------

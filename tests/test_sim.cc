@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include "isa/builder.hh"
+#include "sim/run_cache.hh"
 #include "sim/simulator.hh"
 #include "support/logging.hh"
 #include "workloads/workloads.hh"
@@ -183,4 +185,22 @@ TEST(Sim, DualPathNeverSlowsTheMachineMuch)
         auto fast = sim::runTimed(prog, MachineConfig::proposed());
         EXPECT_GE(sim::speedup(base, fast), 0.995) << name;
     }
+}
+
+TEST(Sim, ContentHashesHaveKnownAnswers)
+{
+    // hashProgram and hashConfig key the run cache, the predecode
+    // cache and checkpoint identities: stable across releases.
+    namespace build = isa::build;
+    isa::MachineProgram prog;
+    prog.code = {
+        build::li(10, 7),
+        build::load(isa::LoadSpec::Predict, 11, 10, -8),
+        build::halt(),
+    };
+    prog.globalSize = 8;
+    prog.globalInit = {1, 2, 3, 4, 0, 0, 0, 0xff};
+    EXPECT_EQ(sim::hashProgram(prog), 0xde098ba0bed159a9ull);
+    EXPECT_EQ(sim::hashConfig(MachineConfig::proposed()),
+              0x942dfb2b69f6e601ull);
 }

@@ -11,6 +11,7 @@
 #include <functional>
 #include <set>
 
+#include "support/hash.hh"
 #include "support/json.hh"
 #include "support/logging.hh"
 #include "support/random.hh"
@@ -45,6 +46,24 @@ TEST(Logging, AssertMacroThrowsOnFailure)
 {
     EXPECT_THROW([] { elag_assert(1 == 2); }(), PanicError);
     EXPECT_NO_THROW([] { elag_assert(2 == 2); }());
+}
+
+TEST(Hash, Fnv1aMatchesPublishedVectors)
+{
+    EXPECT_EQ(Fnv1a().value(), 0xcbf29ce484222325ull);
+    Fnv1a a;
+    a.mixBytes("a", 1);
+    EXPECT_EQ(a.value(), 0xaf63dc4c8601ec8cull);
+    Fnv1a foobar;
+    foobar.mixBytes("foobar", 6);
+    EXPECT_EQ(foobar.value(), 0x85944171f73967e8ull);
+    // mix() folds a word's bytes least significant first.
+    Fnv1a word;
+    word.mix(0x0102030405060708ull);
+    const uint8_t le[] = {8, 7, 6, 5, 4, 3, 2, 1};
+    Fnv1a bytes;
+    bytes.mixBytes(le, sizeof(le));
+    EXPECT_EQ(word.value(), bytes.value());
 }
 
 TEST(Random, Deterministic)

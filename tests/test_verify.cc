@@ -145,15 +145,13 @@ retireStridedLoop(pipeline::Pipeline &pipe, isa::LoadSpec spec,
 {
     using namespace elag::isa;
     for (int i = 0; i < iters; ++i) {
-        pipeline::RetiredInst ld;
-        ld.pc = 100;
-        ld.inst = build::load(spec, 10, 1, 0);
+        pipeline::RetiredInst ld =
+            pipeline::makeRetired(100, build::load(spec, 10, 1, 0));
         ld.effAddr = 0x1000 + static_cast<uint32_t>(i) * 4;
         ld.nextPc = 101;
         pipe.retire(ld);
-        pipeline::RetiredInst br;
-        br.pc = 101;
-        br.inst = build::branch(Opcode::BLT, 5, 6, 100);
+        pipeline::RetiredInst br =
+            pipeline::makeRetired(101, build::branch(Opcode::BLT, 5, 6, 100));
         br.taken = i + 1 < iters;
         br.nextPc = br.taken ? 100 : 102;
         pipe.retire(br);
@@ -220,9 +218,7 @@ TEST(InvariantChecker, CatchesBypassedInterlockCheck)
     pipe.attach(&checker);
     auto feed = [&pipe](uint32_t pc, Instruction inst, uint32_t ea,
                         uint32_t next) {
-        pipeline::RetiredInst ri;
-        ri.pc = pc;
-        ri.inst = inst;
+        pipeline::RetiredInst ri = pipeline::makeRetired(pc, inst);
         ri.effAddr = ea;
         ri.nextPc = next;
         pipe.retire(ri);

@@ -193,6 +193,14 @@ TEST(Generator, SameSpecSameBytes)
     }
 }
 
+TEST(Generator, SourceHashHasKnownAnswers)
+{
+    // The served content_hash: stable across releases.
+    EXPECT_EQ(sourceHash(""), "14650fb0739d0383");
+    EXPECT_EQ(sourceHash("int main() { return 0; }\n"),
+              "66ae82db7ca09a3f");
+}
+
 TEST(Generator, DifferentSeedsDifferentBytes)
 {
     ScenarioSpec a = sampleSpec(KernelFamily::StridedWalk, 1);

@@ -10,13 +10,13 @@
 #                (default: 5; medians are recorded)
 #
 # Runs bench_micro's end-to-end and functional-emulation benchmarks
-# under all three dispatch modes (threaded, portable switch, legacy
-# decode-as-you-go reference) and writes one JSON document with the
-# median times, simulation rates, wall-clock elapsed_seconds, and the
-# build flags that produced the binary — a committed baseline future
-# PRs can diff against on comparable hardware. Cross-machine numbers
-# are not comparable; the threaded-vs-legacy ratio on the same runner
-# is the meaningful figure.
+# on the predecoded emulator and on the test-only decode-as-you-go
+# reference interpreter ("legacy") and writes one JSON document with
+# the median times, simulation rates, wall-clock elapsed_seconds, and
+# the build flags that produced the binary — a committed baseline
+# future PRs can diff against on comparable hardware. Cross-machine
+# numbers are not comparable; the predecoded-vs-legacy ratio on the
+# same runner is the meaningful figure.
 set -eu
 
 build_dir=${1:-build}
@@ -61,11 +61,9 @@ except OSError:
     pass
 
 MODES = {
-    "BM_EndToEndSimulation": ("end_to_end", "threaded"),
-    "BM_EndToEndSimulationSwitch": ("end_to_end", "switch"),
+    "BM_EndToEndSimulation": ("end_to_end", "predecoded"),
     "BM_EndToEndSimulationLegacy": ("end_to_end", "legacy"),
-    "BM_FunctionalEmulation": ("functional", "threaded"),
-    "BM_FunctionalEmulationSwitch": ("functional", "switch"),
+    "BM_FunctionalEmulation": ("functional", "predecoded"),
     "BM_FunctionalEmulationLegacy": ("functional", "legacy"),
 }
 
@@ -80,7 +78,6 @@ for b in doc.get("benchmarks", []):
     entry = {
         "time_ms": round(b["real_time"], 3),
         "cpu_ms": round(b["cpu_time"], 3),
-        "label": b.get("label", ""),
     }
     if group == "end_to_end":
         entry["sim_inst_per_s"] = round(b.get("sim_inst_per_s", 0.0))
@@ -100,18 +97,15 @@ out = {
         "build_type": cache.get("CMAKE_BUILD_TYPE", ""),
         "cxx_flags": cache.get("CMAKE_CXX_FLAGS", ""),
         "compiler": cache.get("CMAKE_CXX_COMPILER", ""),
-        "threaded_dispatch":
-            cache.get("ELAG_THREADED_DISPATCH", "") == "ON",
         "lto": cache.get("ELAG_LTO", "") == "ON",
     },
     "end_to_end_simulation": end_to_end,
     "functional_emulation": functional,
 }
 
-# The same-runner step change: the predecoded engine (threaded where
-# compiled, otherwise the portable switch) against the legacy
-# decode-as-you-go interpreter.
-new = end_to_end.get("threaded") or end_to_end.get("switch")
+# The same-runner step change: the predecoded emulator against the
+# decode-as-you-go reference interpreter.
+new = end_to_end.get("predecoded")
 old = end_to_end.get("legacy")
 if new and old and old["cpu_ms"] > 0:
     out["improvement_vs_legacy_percent"] = round(

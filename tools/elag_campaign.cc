@@ -70,6 +70,7 @@
 #include "obs/metrics.hh"
 #include "obs/span.hh"
 #include "sim/simulator.hh"
+#include "support/hash.hh"
 #include "support/json.hh"
 #include "support/logging.hh"
 #include "support/strings.hh"
@@ -117,12 +118,9 @@ mixSeed(uint64_t base, uint64_t salt)
 uint64_t
 fnv1a64(const std::string &s)
 {
-    uint64_t h = 0xcbf29ce484222325ULL;
-    for (char c : s) {
-        h ^= static_cast<unsigned char>(c);
-        h *= 0x100000001b3ULL;
-    }
-    return h;
+    Fnv1a h;
+    h.mixBytes(s.data(), s.size());
+    return h.value();
 }
 
 /** Harness self-test hooks the worker honours in place of real plans. */
