@@ -218,10 +218,9 @@ class Registry
     std::string prometheus() const;
 
     /**
-     * Counters only, as a flat JSON object {"flat-name": value}.
-     * This is the durable snapshot format the campaign manifest
-     * carries so a resumed run can restoreCounters() and keep
-     * accumulating instead of starting from zero.
+     * Counters only, as a flat JSON object {"flat-name": value}:
+     * the campaign manifest's metrics line, and the scrape the
+     * sharded supervisor merges with restoreCounters().
      */
     void writeCountersJson(JsonWriter &w) const;
 

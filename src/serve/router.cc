@@ -80,30 +80,8 @@ generateMemoCounter(bool hit)
 pipeline::MachineConfig
 Router::machineFor(const Request &request)
 {
-    pipeline::MachineConfig cfg =
-        request.machine == "baseline"
-            ? pipeline::MachineConfig::baseline()
-            : pipeline::MachineConfig::proposed();
-    if (request.table) {
-        cfg.addressTableEnabled = true;
-        cfg.addressTableEntries = request.table;
-    }
-    if (request.regs) {
-        cfg.earlyCalcEnabled = true;
-        cfg.registerCacheSize = request.regs;
-    }
-    if (request.selection == "compiler")
-        cfg.selection = pipeline::SelectionPolicy::CompilerSpec;
-    else if (request.selection == "ev")
-        cfg.selection = pipeline::SelectionPolicy::EvSelect;
-    else if (request.selection == "all-predict")
-        cfg.selection = pipeline::SelectionPolicy::AllPredict;
-    else if (request.selection == "all-early")
-        cfg.selection = pipeline::SelectionPolicy::AllEarlyCalc;
-    else if (!request.selection.empty())
-        fatal("unknown selection policy '%s'",
-              request.selection.c_str());
-    return cfg;
+    return sim::machineConfig(request.machine, request.selection,
+                              request.table, request.regs);
 }
 
 std::string

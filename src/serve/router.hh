@@ -73,10 +73,11 @@ class Router
     std::string execute(const Request &request) const;
 
     /**
-     * Machine configuration for a request, mirroring elagc's
-     * --machine/--table/--regs/--selection semantics exactly (so a
-     * served simulate matches the single-shot CLI byte for byte).
-     * Throws FatalError on an unknown selection policy.
+     * Machine configuration for a request: sim::machineConfig, the
+     * same function elagc uses for --machine/--table/--regs/
+     * --selection, so a served simulate matches the single-shot CLI
+     * byte for byte. Throws FatalError on an unknown selection
+     * policy.
      */
     static pipeline::MachineConfig machineFor(const Request &request);
 

@@ -220,11 +220,17 @@ Emulator::run(uint64_t max_instructions, F &&observer)
       dispatch_top:
         switch (d->handler) {
           case Handler::ADD: {
-            wr(d->inst.rd, regs[d->inst.rs1] + regs[d->inst.rs2]);
+            wr(d->inst.rd,
+               static_cast<int32_t>(
+                   static_cast<uint32_t>(regs[d->inst.rs1]) +
+                   static_cast<uint32_t>(regs[d->inst.rs2])));
             ELAG_NEXT(pc + 1);
           }
           case Handler::SUB: {
-            wr(d->inst.rd, regs[d->inst.rs1] - regs[d->inst.rs2]);
+            wr(d->inst.rd,
+               static_cast<int32_t>(
+                   static_cast<uint32_t>(regs[d->inst.rs1]) -
+                   static_cast<uint32_t>(regs[d->inst.rs2])));
             ELAG_NEXT(pc + 1);
           }
           case Handler::MUL: {
@@ -305,7 +311,10 @@ Emulator::run(uint64_t max_instructions, F &&observer)
             ELAG_NEXT(pc + 1);
           }
           case Handler::ADDI: {
-            wr(d->inst.rd, regs[d->inst.rs1] + d->inst.imm);
+            wr(d->inst.rd,
+               static_cast<int32_t>(
+                   static_cast<uint32_t>(regs[d->inst.rs1]) +
+                   static_cast<uint32_t>(d->inst.imm)));
             ELAG_NEXT(pc + 1);
           }
           case Handler::ANDI: {

@@ -432,6 +432,34 @@ statsReportJson(const std::string &file_label,
     return w.str();
 }
 
+pipeline::MachineConfig
+machineConfig(const std::string &machine, const std::string &selection,
+              uint32_t table, uint32_t regs)
+{
+    pipeline::MachineConfig cfg =
+        machine == "baseline" ? pipeline::MachineConfig::baseline()
+                              : pipeline::MachineConfig::proposed();
+    if (table) {
+        cfg.addressTableEnabled = true;
+        cfg.addressTableEntries = table;
+    }
+    if (regs) {
+        cfg.earlyCalcEnabled = true;
+        cfg.registerCacheSize = regs;
+    }
+    if (selection == "compiler")
+        cfg.selection = pipeline::SelectionPolicy::CompilerSpec;
+    else if (selection == "ev")
+        cfg.selection = pipeline::SelectionPolicy::EvSelect;
+    else if (selection == "all-predict")
+        cfg.selection = pipeline::SelectionPolicy::AllPredict;
+    else if (selection == "all-early")
+        cfg.selection = pipeline::SelectionPolicy::AllEarlyCalc;
+    else if (!selection.empty())
+        fatal("unknown selection policy '%s'", selection.c_str());
+    return cfg;
+}
+
 double
 speedup(const TimedResult &baseline, const TimedResult &machine)
 {

@@ -236,6 +236,19 @@ TimedResult runTimed(const CompiledProgram &prog,
                      const std::vector<pipeline::Observer *> &observers,
                      const Watchdog &watchdog);
 
+/**
+ * The machine behind the CLI and protocol knobs shared by elagc,
+ * elagd and elag_campaign: @p machine "baseline" or anything else for
+ * the proposed machine; a nonzero @p table / @p regs switches on the
+ * address table / register cache at that size; @p selection is one
+ * of compiler|ev|all-predict|all-early, or empty for the machine's
+ * default. Throws FatalError on an unknown selection policy.
+ */
+pipeline::MachineConfig machineConfig(const std::string &machine,
+                                      const std::string &selection,
+                                      uint32_t table = 0,
+                                      uint32_t regs = 0);
+
 /** baseline cycles / machine cycles. */
 double speedup(const TimedResult &baseline, const TimedResult &machine);
 

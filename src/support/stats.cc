@@ -48,45 +48,6 @@ Histogram::restoreRaw(const std::vector<uint64_t> &counts,
     total_ = total;
 }
 
-Counter &
-StatGroup::counter(const std::string &name)
-{
-    return counters[name];
-}
-
-uint64_t
-StatGroup::value(const std::string &name) const
-{
-    auto it = counters.find(name);
-    return it == counters.end() ? 0 : it->second.value();
-}
-
-double
-StatGroup::ratio(const std::string &a, const std::string &b) const
-{
-    uint64_t den = value(b);
-    if (den == 0)
-        return 0.0;
-    return static_cast<double>(value(a)) / static_cast<double>(den);
-}
-
-std::vector<std::pair<std::string, uint64_t>>
-StatGroup::dump() const
-{
-    std::vector<std::pair<std::string, uint64_t>> out;
-    out.reserve(counters.size());
-    for (const auto &kv : counters)
-        out.emplace_back(kv.first, kv.second.value());
-    return out;
-}
-
-void
-StatGroup::reset()
-{
-    for (auto &kv : counters)
-        kv.second.reset();
-}
-
 void
 writeJson(JsonWriter &w, const Histogram &h)
 {
@@ -99,15 +60,6 @@ writeJson(JsonWriter &w, const Histogram &h)
         w.value(h.bucket(i));
     w.endArray();
     w.field("overflow", h.overflow());
-    w.endObject();
-}
-
-void
-writeJson(JsonWriter &w, const StatGroup &g)
-{
-    w.beginObject();
-    for (const auto &kv : g.dump())
-        w.field(kv.first, kv.second);
     w.endObject();
 }
 

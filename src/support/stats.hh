@@ -1,39 +1,20 @@
 /**
  * @file
- * Lightweight statistics primitives used by the simulator.
- *
- * Modeled loosely on gem5's stats package: named scalar counters,
- * ratios (formulas over two counters), and fixed-bucket histograms,
- * all registered in a StatGroup for uniform dumping.
+ * Fixed-bucket histograms for the timing model's distributions (load
+ * latency, stride confidence, binding lifetime) and their JSON form.
+ * Named process-wide counters live in the obs metrics registry.
  */
 
 #ifndef ELAG_SUPPORT_STATS_HH
 #define ELAG_SUPPORT_STATS_HH
 
+#include <cstddef>
 #include <cstdint>
-#include <map>
-#include <string>
 #include <vector>
 
 namespace elag {
 
 class JsonWriter;
-
-/** A named monotonically increasing scalar counter. */
-class Counter
-{
-  public:
-    Counter() = default;
-
-    Counter &operator++() { ++count_; return *this; }
-    Counter &operator+=(uint64_t n) { count_ += n; return *this; }
-
-    uint64_t value() const { return count_; }
-    void reset() { count_ = 0; }
-
-  private:
-    uint64_t count_ = 0;
-};
 
 /** A histogram with fixed-width buckets plus an overflow bucket. */
 class Histogram
@@ -92,39 +73,10 @@ class Histogram
 };
 
 /**
- * A registry of named counters, used to dump all statistics for a
- * simulation with stable names.
- */
-class StatGroup
-{
-  public:
-    /** Get (creating if needed) a counter by name. */
-    Counter &counter(const std::string &name);
-
-    /** @return counter value, or 0 if never created. */
-    uint64_t value(const std::string &name) const;
-
-    /** @return ratio a/b, or 0 when b == 0. */
-    double ratio(const std::string &a, const std::string &b) const;
-
-    /** All (name, value) pairs in name order. */
-    std::vector<std::pair<std::string, uint64_t>> dump() const;
-
-    /** Reset all counters to zero. */
-    void reset();
-
-  private:
-    std::map<std::string, Counter> counters;
-};
-
-/**
  * Serialize a histogram as an object:
  * {"samples", "mean", "bucket_width", "buckets": [...], "overflow"}.
  */
 void writeJson(JsonWriter &w, const Histogram &h);
-
-/** Serialize a stat group as an object of name -> value members. */
-void writeJson(JsonWriter &w, const StatGroup &g);
 
 } // namespace elag
 

@@ -5,10 +5,11 @@
  * ProgramGen emits random mini-C programs shaped like the paper's
  * workloads — global arrays walked by strided scans, dependent
  * recurrences, masked gathers, store/load conflicts and sub-word
- * byte traffic — so the soak driver can hammer every speculation
- * path. Programs are terminating by construction: every loop bound
- * is a literal constant and induction variables are only advanced by
- * the loop header. The same seed always yields the same source.
+ * byte traffic — so the campaign's soak workers (elag_campaign
+ * --workload=gen) can hammer every speculation path. Programs are
+ * terminating by construction: every loop bound is a literal constant
+ * and induction variables are only advanced by the loop header. The
+ * same seed always yields the same source.
  */
 
 #ifndef ELAG_VERIFY_PROGRAM_GEN_HH

@@ -149,8 +149,12 @@ ReferenceInterpreter::run(uint64_t max_instructions, F &&observer)
             int32_t imm = inst.imm;
 
             switch (inst.op) {
-              case Opcode::ADD: write_reg(inst.rd, sa + sb); break;
-              case Opcode::SUB: write_reg(inst.rd, sa - sb); break;
+              case Opcode::ADD:
+                write_reg(inst.rd, static_cast<int32_t>(a + b));
+                break;
+              case Opcode::SUB:
+                write_reg(inst.rd, static_cast<int32_t>(a - b));
+                break;
               case Opcode::MUL:
                 write_reg(inst.rd, static_cast<int32_t>(a * b));
                 break;
@@ -193,7 +197,10 @@ ReferenceInterpreter::run(uint64_t max_instructions, F &&observer)
               case Opcode::SLT: write_reg(inst.rd, sa < sb); break;
               case Opcode::SLTU: write_reg(inst.rd, a < b); break;
               case Opcode::SEQ: write_reg(inst.rd, sa == sb); break;
-              case Opcode::ADDI: write_reg(inst.rd, sa + imm); break;
+              case Opcode::ADDI:
+                write_reg(inst.rd, static_cast<int32_t>(
+                                       a + static_cast<uint32_t>(imm)));
+                break;
               case Opcode::ANDI: write_reg(inst.rd, sa & imm); break;
               case Opcode::ORI: write_reg(inst.rd, sa | imm); break;
               case Opcode::XORI: write_reg(inst.rd, sa ^ imm); break;

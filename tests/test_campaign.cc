@@ -5,8 +5,9 @@
  * capture truncation, rlimit plumbing), the delta-debugging shrinker
  * (synthetic oracles plus a real deliberate-bug fault-plan list), and
  * the elag_campaign binary end-to-end — crash/hang/violation
- * taxonomy, manifest resume, flaky-then-passed retries, and shrunk
- * reproducers that still fail standalone.
+ * taxonomy, the watchdog, worker results and their metric totals,
+ * manifest and worker-checkpoint resume, flaky-then-passed retries,
+ * and shrunk reproducers that still fail standalone.
  */
 
 #include <gtest/gtest.h>
@@ -235,8 +236,8 @@ namespace {
 /**
  * In-process job oracle: run the strided kernel under each plan of
  * the subset (AllPredict, forced verification failure — the same
- * forcing the campaign worker and the soak self-check apply to bug
- * plans) and report whether the invariant checker fired.
+ * forcing the campaign worker applies to bug plans) and report
+ * whether the invariant checker fired.
  */
 bool
 anyPlanViolates(const std::vector<std::string> &plans)
@@ -311,6 +312,7 @@ struct ManifestView
 {
     std::vector<std::string> jobLines;
     std::vector<std::string> shrinkLines;
+    std::string lastMetrics;
 
     std::string
     jobLine(const std::string &idFragment) const
@@ -338,8 +340,52 @@ readManifest(const std::string &path)
             view.jobLines.push_back(line);
         else if (type == "shrink")
             view.shrinkLines.push_back(line);
+        else if (type == "metrics")
+            view.lastMetrics = line;
     }
     return view;
+}
+
+/** The members of a worker's result line. */
+const char *const kResultFields[] = {"programs", "runs", "faults_fired",
+                                     "events_checked", "timing_moved"};
+
+/** Check that a job line carries a worker result with every field. */
+void
+expectResult(const std::string &jobLine)
+{
+    std::string result;
+    ASSERT_TRUE(jsonExtractRaw(jobLine, "result", result)) << jobLine;
+    for (const char *field : kResultFields) {
+        uint64_t n = 0;
+        EXPECT_TRUE(jsonExtractUint(result, field, n))
+            << field << " missing from " << result;
+    }
+}
+
+/**
+ * The last metrics line's elag_campaign_<field>_total counters must
+ * equal the sums of the job lines' result fields.
+ */
+void
+expectTotalsMatchResults(const ManifestView &view)
+{
+    for (const char *field : kResultFields) {
+        uint64_t sum = 0;
+        for (const std::string &line : view.jobLines) {
+            std::string result;
+            uint64_t n = 0;
+            if (jsonExtractRaw(line, "result", result) &&
+                jsonExtractUint(result, field, n))
+                sum += n;
+        }
+        std::string name =
+            std::string("elag_campaign_") + field + "_total";
+        uint64_t total = 0;
+        EXPECT_TRUE(jsonExtractUint(view.lastMetrics, name, total))
+            << name << " missing from " << view.lastMetrics;
+        EXPECT_EQ(total, sum) << name;
+    }
 }
 
 std::string
@@ -398,42 +444,160 @@ TEST(CampaignE2E, CrashHangViolationAndCleanTaxonomies)
     EXPECT_EQ(taxonomyOfLine(view.jobLine("bug-addr-bypass")),
               "invariant-violation");
     EXPECT_TRUE(view.shrinkLines.empty()) << "--no-shrink was given";
+
+    // Only the clean job reports what it soaked.
+    expectResult(view.jobLine("/chaos"));
+    std::string result;
+    EXPECT_FALSE(jsonExtractRaw(view.jobLine("bug-addr-bypass"), "result",
+                                result));
+    expectTotalsMatchResults(view);
+}
+
+TEST(CampaignE2E, WatchdogTripIsTimeoutExit75)
+{
+    // An in-process watchdog trip exits 75; a wall-clock kill by the
+    // coordinator would record "exit":-1 instead.
+    std::string manifest = uniquePath("watchdog");
+    auto argv = campaignArgv(manifest, "none", 1, 1);
+    argv.push_back("--max-cycles=1000");
+    argv.push_back("--no-shrink");
+    auto r = runSubprocess(argv);
+    ASSERT_EQ(r.status, SubprocessStatus::Exited) << r.err;
+    EXPECT_EQ(r.exitCode, 1) << r.err;
+
+    ManifestView view = readManifest(manifest);
+    ASSERT_EQ(view.jobLines.size(), 1u);
+    const std::string &line = view.jobLines[0];
+    EXPECT_EQ(taxonomyOfLine(line), "timeout");
+    EXPECT_NE(line.find("\"exit\":75"), std::string::npos) << line;
+    EXPECT_NE(line.find("simulation passed cycle 1000"),
+              std::string::npos)
+        << line;
 }
 
 TEST(CampaignE2E, ResumeSkipsCompletedJobsAndFinishes)
 {
-    std::string manifest = uniquePath("resume");
-    // 4 clean jobs; first invocation is allowed to run only 2.
-    auto argv = campaignArgv(manifest, "tag-alias", 4, 1);
-    argv.push_back("--max-jobs=2");
-    auto first = runSubprocess(argv);
-    ASSERT_EQ(first.status, SubprocessStatus::Exited) << first.err;
-    EXPECT_EQ(first.exitCode, 3) << "truncated campaign => exit 3";
-    EXPECT_EQ(readManifest(manifest).jobLines.size(), 2u);
+    // The second pass drops the first invocation's summary and metrics
+    // lines, as a coordinator killed by SIGKILL or the OOM killer
+    // leaves its manifest: only job lines are flushed as jobs settle.
+    for (bool killed : {false, true}) {
+        SCOPED_TRACE(killed ? "first invocation killed"
+                            : "first invocation truncated");
+        std::string manifest = uniquePath("resume");
+        // 4 clean jobs; first invocation is allowed to run only 2.
+        auto argv = campaignArgv(manifest, "tag-alias", 4, 1);
+        argv.push_back("--max-jobs=2");
+        auto first = runSubprocess(argv);
+        ASSERT_EQ(first.status, SubprocessStatus::Exited) << first.err;
+        EXPECT_EQ(first.exitCode, 3) << "truncated campaign => exit 3";
+        EXPECT_EQ(readManifest(manifest).jobLines.size(), 2u);
+        if (killed) {
+            std::vector<std::string> kept;
+            std::ifstream in(manifest);
+            std::string line, type;
+            while (std::getline(in, line)) {
+                if (jsonExtractString(line, "type", type) &&
+                    type != "summary" && type != "metrics")
+                    kept.push_back(line);
+            }
+            in.close();
+            std::ofstream out(manifest, std::ios::trunc);
+            for (const std::string &k : kept)
+                out << k << '\n';
+        }
 
-    // Resume: must skip the two finished jobs and finish green.
-    auto argv2 = campaignArgv(manifest, "tag-alias", 4, 1);
-    argv2.push_back("--resume");
-    auto second = runSubprocess(argv2);
-    ASSERT_EQ(second.status, SubprocessStatus::Exited) << second.err;
-    EXPECT_EQ(second.exitCode, 0) << second.err;
+        // Resume: must skip the two finished jobs and finish green.
+        auto argv2 = campaignArgv(manifest, "tag-alias", 4, 1);
+        argv2.push_back("--resume");
+        auto second = runSubprocess(argv2);
+        ASSERT_EQ(second.status, SubprocessStatus::Exited) << second.err;
+        EXPECT_EQ(second.exitCode, 0) << second.err;
 
-    ManifestView view = readManifest(manifest);
-    EXPECT_EQ(view.jobLines.size(), 4u)
-        << "every job exactly once across both invocations";
-    std::set<std::string> ids;
-    for (const std::string &line : view.jobLines) {
-        std::string id;
-        ASSERT_TRUE(jsonExtractString(line, "id", id));
-        EXPECT_TRUE(ids.insert(id).second)
-            << "job " << id << " ran twice despite --resume";
+        ManifestView view = readManifest(manifest);
+        EXPECT_EQ(view.jobLines.size(), 4u)
+            << "every job exactly once across both invocations";
+        std::set<std::string> ids;
+        for (const std::string &line : view.jobLines) {
+            std::string id;
+            ASSERT_TRUE(jsonExtractString(line, "id", id));
+            EXPECT_TRUE(ids.insert(id).second)
+                << "job " << id << " ran twice despite --resume";
+        }
+
+        // The totals cover both invocations: --resume recounts the
+        // first one's job lines before adding its own jobs.
+        for (const std::string &line : view.jobLines)
+            expectResult(line);
+        expectTotalsMatchResults(view);
+        uint64_t programs = 0;
+        EXPECT_TRUE(jsonExtractUint(view.lastMetrics,
+                                    "elag_campaign_programs_total",
+                                    programs));
+        EXPECT_EQ(programs, 4u);
+        EXPECT_NE(view.lastMetrics.find("\"elag_campaign_jobs_total{"
+                                        "taxonomy=\\\"clean\\\"}\":4"),
+                  std::string::npos)
+            << view.lastMetrics;
+
+        // A third resume has nothing left to do.
+        auto third = runSubprocess(argv2);
+        ASSERT_EQ(third.status, SubprocessStatus::Exited);
+        EXPECT_EQ(third.exitCode, 0);
+        EXPECT_EQ(readManifest(manifest).jobLines.size(), 4u);
     }
+}
 
-    // A third resume has nothing left to do.
-    auto third = runSubprocess(argv2);
-    ASSERT_EQ(third.status, SubprocessStatus::Exited);
-    EXPECT_EQ(third.exitCode, 0);
-    EXPECT_EQ(readManifest(manifest).jobLines.size(), 4u);
+TEST(CampaignE2E, WorkerResumesFromItsCheckpoint)
+{
+    std::string ckpt = uniquePath("worker") + ".ckpt";
+    std::vector<std::string> argv = {ELAG_CAMPAIGN_BIN,
+                                     "--worker",
+                                     "--workload=gen",
+                                     "--gen-seed=1",
+                                     "--gen-count=4",
+                                     "--machine=proposed",
+                                     "--plans=chaos,tag-alias",
+                                     "--inject-seed=7"};
+    auto uninterrupted = runSubprocess(argv);
+    ASSERT_EQ(uninterrupted.status, SubprocessStatus::Exited);
+    ASSERT_EQ(uninterrupted.exitCode, 0) << uninterrupted.err;
+    uint64_t moved = 0;
+    ASSERT_TRUE(jsonExtractUint(uninterrupted.out, "timing_moved", moved))
+        << uninterrupted.out;
+    EXPECT_GT(moved, 0u) << "the plans must move timing somewhere";
+
+    // Program 0 peaks at 9258 cycles and program 1 at 10738 (these
+    // plans and seeds), so a 10000-cycle watchdog stops the first
+    // attempt after one durable program.
+    argv.push_back("--checkpoint=" + ckpt);
+    auto limited = argv;
+    limited.push_back("--max-cycles=10000");
+    auto first = runSubprocess(limited);
+    ASSERT_EQ(first.status, SubprocessStatus::Exited);
+    ASSERT_EQ(first.exitCode, 75) << first.err;
+
+    auto resumed = runSubprocess(argv);
+    ASSERT_EQ(resumed.status, SubprocessStatus::Exited);
+    EXPECT_EQ(resumed.exitCode, 0) << resumed.err;
+    EXPECT_NE(resumed.err.find("resumed from '" + ckpt +
+                               "' at program 1/4"),
+              std::string::npos)
+        << resumed.err;
+    EXPECT_EQ(resumed.out, uninterrupted.out)
+        << "a resumed job must report the uninterrupted totals";
+    EXPECT_FALSE(std::ifstream(ckpt).good())
+        << "a finished worker removes its checkpoint";
+
+    // An unusable checkpoint is reported and ignored.
+    std::ofstream(ckpt) << "not a checkpoint";
+    auto garbage = runSubprocess(argv);
+    ASSERT_EQ(garbage.status, SubprocessStatus::Exited);
+    EXPECT_EQ(garbage.exitCode, 0) << garbage.err;
+    EXPECT_NE(garbage.err.find("unusable checkpoint '" + ckpt + "'"),
+              std::string::npos)
+        << garbage.err;
+    EXPECT_NE(garbage.err.find("starting clean"), std::string::npos);
+    EXPECT_EQ(garbage.out, uninterrupted.out);
 }
 
 TEST(CampaignE2E, FlakyJobRetriesThenPasses)

@@ -11,6 +11,7 @@
 #include "isa/registers.hh"
 #include "sim/emulator.hh"
 #include "support/logging.hh"
+#include "verify/reference_interp.hh"
 
 using namespace elag;
 using namespace elag::isa;
@@ -41,13 +42,24 @@ TEST(Emulator, ArithmeticWrapsAt32Bits)
         build::li(12, -2),
         build::rrr(Opcode::MUL, 13, 10, 12),
         build::print(13),
+        build::li(14, 1),
+        build::rrr(Opcode::ADD, 15, 10, 14), // INT32_MAX + 1
+        build::print(15),
+        build::li(16, INT32_MIN),
+        build::rrr(Opcode::SUB, 17, 16, 14), // INT32_MIN - 1
+        build::print(17),
         build::halt(),
     });
+    const std::vector<int32_t> want = {
+        INT32_MIN,
+        2, // 0x7fffffff * -2 mod 2^32
+        INT32_MIN,
+        INT32_MAX,
+    };
     sim::Emulator emu(prog);
-    auto r = emu.run();
-    ASSERT_EQ(r.output.size(), 2u);
-    EXPECT_EQ(r.output[0], INT32_MIN);
-    EXPECT_EQ(r.output[1], 2); // 0x7fffffff * -2 mod 2^32
+    EXPECT_EQ(emu.run().output, want);
+    verify::ReferenceInterpreter ref(prog);
+    EXPECT_EQ(ref.run().output, want);
 }
 
 TEST(Emulator, ShiftSemantics)

@@ -24,6 +24,7 @@
 #include "serve/client.hh"
 #include "serve/framing.hh"
 #include "serve/protocol.hh"
+#include "serve/router.hh"
 #include "serve/server.hh"
 #include "serve/socket.hh"
 #include "sim/run_cache.hh"
@@ -269,6 +270,63 @@ TEST(Protocol, ResponseEnvelopesRoundTrip)
     EXPECT_FALSE(err.ok);
     EXPECT_EQ(err.errorType, errtype::Overloaded);
     EXPECT_EQ(err.errorMessage, "queue full");
+}
+
+TEST(Router, MachineForMapsSelectionNames)
+{
+    using pipeline::MachineConfig;
+    using pipeline::SelectionPolicy;
+    const std::pair<const char *, SelectionPolicy> names[] = {
+        {"compiler", SelectionPolicy::CompilerSpec},
+        {"ev", SelectionPolicy::EvSelect},
+        {"all-predict", SelectionPolicy::AllPredict},
+        {"all-early", SelectionPolicy::AllEarlyCalc},
+    };
+    for (const auto &[name, policy] : names) {
+        for (const char *machine : {"baseline", "proposed"}) {
+            Request request;
+            request.machine = machine;
+            request.selection = name;
+            EXPECT_EQ(Router::machineFor(request).selection, policy)
+                << machine << " --selection=" << name;
+        }
+    }
+
+    // No selection and no table/regs: each machine's own defaults.
+    Request base;
+    base.machine = "baseline";
+    MachineConfig cfg = Router::machineFor(base);
+    EXPECT_FALSE(cfg.addressTableEnabled);
+    EXPECT_FALSE(cfg.earlyCalcEnabled);
+    EXPECT_EQ(cfg.selection, MachineConfig::baseline().selection);
+    Request proposed;
+    ASSERT_EQ(proposed.machine, "proposed");
+    cfg = Router::machineFor(proposed);
+    EXPECT_TRUE(cfg.addressTableEnabled);
+    EXPECT_EQ(cfg.addressTableEntries,
+              MachineConfig::proposed().addressTableEntries);
+    EXPECT_TRUE(cfg.earlyCalcEnabled);
+    EXPECT_EQ(cfg.registerCacheSize,
+              MachineConfig::proposed().registerCacheSize);
+    EXPECT_EQ(cfg.selection, MachineConfig::proposed().selection);
+
+    // table/regs switch their structure on, even on the baseline.
+    base.table = 64;
+    base.regs = 4;
+    cfg = Router::machineFor(base);
+    EXPECT_TRUE(cfg.addressTableEnabled);
+    EXPECT_EQ(cfg.addressTableEntries, 64u);
+    EXPECT_TRUE(cfg.earlyCalcEnabled);
+    EXPECT_EQ(cfg.registerCacheSize, 4u);
+
+    Request bad;
+    bad.selection = "all-earl";
+    try {
+        Router::machineFor(bad);
+        ADD_FAILURE() << "unknown selection policy accepted";
+    } catch (const FatalError &e) {
+        EXPECT_STREQ(e.what(), "fatal: unknown selection policy 'all-earl'");
+    }
 }
 
 TEST(Serve, EndToEndMatchesDirectSimulation)

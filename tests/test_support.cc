@@ -114,17 +114,6 @@ TEST(Random, DoubleInUnitInterval)
     }
 }
 
-TEST(Stats, CounterBasics)
-{
-    Counter c;
-    EXPECT_EQ(c.value(), 0u);
-    ++c;
-    c += 5;
-    EXPECT_EQ(c.value(), 6u);
-    c.reset();
-    EXPECT_EQ(c.value(), 0u);
-}
-
 TEST(Stats, HistogramBucketsAndOverflow)
 {
     Histogram h(4, 10); // buckets [0,10) [10,20) [20,30) [30,40)
@@ -140,27 +129,6 @@ TEST(Stats, HistogramBucketsAndOverflow)
     EXPECT_EQ(h.overflow(), 2u);
     EXPECT_EQ(h.samples(), 5u);
     EXPECT_DOUBLE_EQ(h.mean(), (5 + 10 + 39 + 40 + 1000) / 5.0);
-}
-
-TEST(Stats, StatGroupRatio)
-{
-    StatGroup g;
-    g.counter("hits") += 3;
-    g.counter("total") += 4;
-    EXPECT_DOUBLE_EQ(g.ratio("hits", "total"), 0.75);
-    EXPECT_DOUBLE_EQ(g.ratio("hits", "missing"), 0.0);
-    EXPECT_EQ(g.value("missing"), 0u);
-}
-
-TEST(Stats, StatGroupDumpSorted)
-{
-    StatGroup g;
-    g.counter("b") += 2;
-    g.counter("a") += 1;
-    auto dump = g.dump();
-    ASSERT_EQ(dump.size(), 2u);
-    EXPECT_EQ(dump[0].first, "a");
-    EXPECT_EQ(dump[1].first, "b");
 }
 
 TEST(Strings, SplitKeepsEmptyFields)
@@ -376,7 +344,7 @@ TEST(Json, WriterMisusePanics)
     EXPECT_THROW(w2.endObject(), PanicError); // unbalanced end
 }
 
-TEST(Json, HistogramAndStatGroupSerialize)
+TEST(Json, HistogramSerializes)
 {
     Histogram h(4, 10);
     h.sample(5);
@@ -387,13 +355,6 @@ TEST(Json, HistogramAndStatGroupSerialize)
     EXPECT_TRUE(jsonValid(doc));
     EXPECT_NE(doc.find("\"samples\":2"), std::string::npos);
     EXPECT_NE(doc.find("\"overflow\":1"), std::string::npos);
-
-    StatGroup g;
-    g.counter("hits") += 3;
-    JsonWriter w2(0);
-    writeJson(w2, g);
-    EXPECT_TRUE(jsonValid(w2.str()));
-    EXPECT_NE(w2.str().find("\"hits\":3"), std::string::npos);
 }
 
 namespace {

@@ -12,6 +12,15 @@
  * killed campaign resumes exactly where it stopped, and runs delta
  * debugging over failing jobs to emit a minimal reproducer command.
  *
+ * It is also the differential fault-injection soak. A gen/workload
+ * worker runs each program clean on the baseline and the job machine,
+ * then under every plan of its group, with the invariant checker and
+ * watchdog attached, and requires architectural results identical to
+ * the clean run. A passing worker's result line (programs, runs,
+ * faults_fired, events_checked, timing_moved) becomes the job line's
+ * "result" and is summed into elag_campaign_<field>_total counters,
+ * so the manifest's metrics line shows what the sweep covered.
+ *
  * Coordinator (default mode):
  *   elag_campaign --gen-programs=40 --gen-chunk=5 --plans=graceful
  *                 --machines=baseline,proposed --manifest=run.jsonl
@@ -194,19 +203,29 @@ workerIdentity(const WorkerOptions &opts)
     return id;
 }
 
+/** Running totals of one worker job: its manifest result line. */
+struct WorkerTotals
+{
+    uint64_t runs = 0;
+    uint64_t faultsFired = 0;
+    uint64_t eventsChecked = 0;
+    /** Faulted runs whose cycle count differs from the clean run. */
+    uint64_t timingMoved = 0;
+};
+
 /** Persist worker progress: identity + completed-program prefix. */
 void
 writeWorkerCheckpoint(const WorkerOptions &opts, uint64_t completed,
-                      uint64_t runs, uint64_t faults_fired,
-                      uint64_t events_checked)
+                      const WorkerTotals &totals)
 {
     ckpt::CheckpointWriter w;
     w.section("META").str(workerIdentity(opts));
     ckpt::Writer &prog = w.section("PROG");
     prog.varint(completed);
-    prog.varint(runs);
-    prog.varint(faults_fired);
-    prog.varint(events_checked);
+    prog.varint(totals.runs);
+    prog.varint(totals.faultsFired);
+    prog.varint(totals.eventsChecked);
+    prog.varint(totals.timingMoved);
     w.writeFile(opts.checkpointPath);
 }
 
@@ -215,8 +234,7 @@ writeWorkerCheckpoint(const WorkerOptions &opts, uint64_t completed,
  * belongs to a different job, container errors otherwise).
  */
 uint64_t
-loadWorkerCheckpoint(const WorkerOptions &opts, uint64_t &runs,
-                     uint64_t &faults_fired, uint64_t &events_checked)
+loadWorkerCheckpoint(const WorkerOptions &opts, WorkerTotals &totals)
 {
     auto r = ckpt::CheckpointReader::fromFile(opts.checkpointPath);
     if (r.section("META").str() != workerIdentity(opts))
@@ -225,9 +243,10 @@ loadWorkerCheckpoint(const WorkerOptions &opts, uint64_t &runs,
             "checkpoint belongs to a different job");
     ckpt::Reader prog = r.section("PROG");
     uint64_t completed = prog.varint();
-    runs = prog.varint();
-    faults_fired = prog.varint();
-    events_checked = prog.varint();
+    totals.runs = prog.varint();
+    totals.faultsFired = prog.varint();
+    totals.eventsChecked = prog.varint();
+    totals.timingMoved = prog.varint();
     return completed;
 }
 
@@ -237,26 +256,6 @@ sameArchitecture(const sim::EmulationResult &a,
 {
     return a.output == b.output && a.exitValue == b.exitValue &&
            a.instructions == b.instructions && a.halted == b.halted;
-}
-
-pipeline::MachineConfig
-workerMachine(const WorkerOptions &opts)
-{
-    pipeline::MachineConfig cfg =
-        opts.machine == "baseline"
-            ? pipeline::MachineConfig::baseline()
-            : pipeline::MachineConfig::proposed();
-    if (opts.selection == "compiler")
-        cfg.selection = pipeline::SelectionPolicy::CompilerSpec;
-    else if (opts.selection == "ev")
-        cfg.selection = pipeline::SelectionPolicy::EvSelect;
-    else if (opts.selection == "all-predict")
-        cfg.selection = pipeline::SelectionPolicy::AllPredict;
-    else if (opts.selection == "all-early")
-        cfg.selection = pipeline::SelectionPolicy::AllEarlyCalc;
-    else if (!opts.selection.empty())
-        fatal("unknown selection policy '%s'", opts.selection.c_str());
-    return cfg;
 }
 
 [[noreturn]] void
@@ -322,9 +321,9 @@ runWorker(const WorkerOptions &opts)
         indices.push_back(0);
     }
 
-    uint64_t runs = 0;
-    uint64_t faultsFired = 0;
-    uint64_t eventsChecked = 0;
+    const pipeline::MachineConfig machine =
+        sim::machineConfig(opts.machine, opts.selection);
+    WorkerTotals totals;
 
     // Resume a killed attempt past its fully-soaked programs. An
     // unusable checkpoint (different job, torn, corrupt) is never
@@ -333,8 +332,7 @@ runWorker(const WorkerOptions &opts)
     if (!opts.checkpointPath.empty() &&
         ckpt::fileExists(opts.checkpointPath)) {
         try {
-            resumeAt = loadWorkerCheckpoint(opts, runs, faultsFired,
-                                            eventsChecked);
+            resumeAt = loadWorkerCheckpoint(opts, totals);
             if (resumeAt > sources.size())
                 throw ckpt::CkptError(
                     ckpt::ErrorKind::Mismatch,
@@ -351,7 +349,8 @@ runWorker(const WorkerOptions &opts)
                          "starting clean\n",
                          opts.checkpointPath.c_str(),
                          ckpt::name(e.kind()), e.what());
-            resumeAt = runs = faultsFired = eventsChecked = 0;
+            resumeAt = 0;
+            totals = WorkerTotals{};
         }
     }
 
@@ -363,13 +362,12 @@ runWorker(const WorkerOptions &opts)
         auto base =
             sim::runTimed(prog, pipeline::MachineConfig::baseline(),
                           opts.maxInst, {}, watchdog);
-        pipeline::MachineConfig mcfg = workerMachine(opts);
         verify::InvariantChecker cleanChecker;
-        auto clean = sim::runTimed(prog, mcfg, opts.maxInst,
+        auto clean = sim::runTimed(prog, machine, opts.maxInst,
                                    {&cleanChecker}, watchdog);
         cleanChecker.finish(clean.pipe);
-        eventsChecked += cleanChecker.eventsChecked();
-        runs += 2;
+        totals.eventsChecked += cleanChecker.eventsChecked();
+        totals.runs += 2;
         if (!clean.emulation.halted || !base.emulation.halted) {
             std::fprintf(stderr,
                          "worker: program %llu did not halt within "
@@ -407,11 +405,11 @@ runWorker(const WorkerOptions &opts)
             }
 
             verify::FaultPlan plan = verify::planByName(planName);
-            pipeline::MachineConfig cfg = workerMachine(opts);
-            // Deliberate-bug plans must trip deterministically (the
-            // soak self-check forces the same knobs): route every
-            // load through the bypassed check and force the guarded
-            // condition to be violated on the first opportunity.
+            pipeline::MachineConfig cfg = machine;
+            // Deliberate-bug plans must trip deterministically: route
+            // every load through the bypassed check and force the
+            // guarded condition to be violated on the first
+            // opportunity.
             if (plan.bypassAddressCheck || plan.bypassInterlockCheck) {
                 cfg.selection = pipeline::SelectionPolicy::AllPredict;
                 if (plan.bypassAddressCheck)
@@ -426,9 +424,11 @@ runWorker(const WorkerOptions &opts)
             auto faulted = sim::runTimed(prog, cfg, opts.maxInst,
                                          {&checker}, watchdog);
             checker.finish(faulted.pipe);
-            ++runs;
-            eventsChecked += checker.eventsChecked();
-            faultsFired += injector.counts().total();
+            ++totals.runs;
+            totals.eventsChecked += checker.eventsChecked();
+            totals.faultsFired += injector.counts().total();
+            if (faulted.pipe.cycles != clean.pipe.cycles)
+                ++totals.timingMoved;
             if (!sameArchitecture(faulted.emulation, clean.emulation)) {
                 std::fprintf(
                     stderr,
@@ -445,8 +445,7 @@ runWorker(const WorkerOptions &opts)
         // next attempt restarts at most one program back.
         if (!opts.checkpointPath.empty()) {
             try {
-                writeWorkerCheckpoint(opts, s + 1, runs, faultsFired,
-                                      eventsChecked);
+                writeWorkerCheckpoint(opts, s + 1, totals);
             } catch (const ckpt::CkptError &e) {
                 std::fprintf(stderr,
                              "worker: checkpoint write failed (%s); "
@@ -458,13 +457,15 @@ runWorker(const WorkerOptions &opts)
     if (!opts.checkpointPath.empty())
         std::remove(opts.checkpointPath.c_str());
 
-    // Machine-readable success line for the coordinator's manifest.
+    // Machine-readable success line, spliced into the job's manifest
+    // line by the coordinator.
     JsonWriter w(0);
     w.beginObject();
     w.field("programs", static_cast<uint64_t>(sources.size()));
-    w.field("runs", runs);
-    w.field("faults_fired", faultsFired);
-    w.field("events_checked", eventsChecked);
+    w.field("runs", totals.runs);
+    w.field("faults_fired", totals.faultsFired);
+    w.field("events_checked", totals.eventsChecked);
+    w.field("timing_moved", totals.timingMoved);
     w.endObject();
     std::printf("%s\n", w.str().c_str());
     return 0;
@@ -557,6 +558,8 @@ struct JobOutcome
     uint64_t attempts = 0;
     uint64_t wallMs = 0;
     std::string stderrTail;
+    /** The settled attempt's stdout: a worker's result line. */
+    std::string result;
 };
 
 std::string
@@ -778,6 +781,7 @@ Coordinator::runWithRetries(const Job &job)
         outcome.attempts = attempt;
         outcome.wallMs = r.wallMs;
         outcome.stderrTail = tailOf(r.err, 400);
+        outcome.result = trimString(r.out);
         if (outcome.taxonomy == "clean") {
             if (attempt > 1)
                 outcome.taxonomy = "flaky-then-passed";
@@ -906,14 +910,44 @@ Coordinator::shrinkFailure(const Job &job, const JobOutcome &outcome)
     ++shrunkJobs;
 }
 
+/** The worker result-line fields summed into registry counters. */
+const char *const kResultFields[] = {"programs", "runs", "faults_fired",
+                                     "events_checked", "timing_moved"};
+
+/**
+ * Count one settled job into the registry: its taxonomy bucket and
+ * the fields of its worker @p result line (empty when it has none).
+ */
+void
+countJob(const std::string &taxonomy, const std::string &result)
+{
+    obs::Registry &registry = obs::Registry::process();
+    registry
+        .counter("elag_campaign_jobs_total",
+                 "Campaign jobs settled, by crash-taxonomy bucket.",
+                 {{"taxonomy", taxonomy}})
+        .inc();
+    for (const char *field : kResultFields) {
+        uint64_t n = 0;
+        if (!result.empty() && jsonExtractUint(result, field, n))
+            registry
+                .counter(formatString("elag_campaign_%s_total", field),
+                         "Soak coverage summed over passing campaign "
+                         "jobs.")
+                .inc(n);
+    }
+}
+
 void
 Coordinator::recordJob(const Job &job, const JobOutcome &outcome)
 {
-    obs::Registry::process()
-        .counter("elag_campaign_jobs_total",
-                 "Campaign jobs settled, by crash-taxonomy bucket.",
-                 {{"taxonomy", outcome.taxonomy}})
-        .inc();
+    // A passing worker's result line carries what its soak covered;
+    // a missing or malformed line is left out of the manifest.
+    bool hasResult = job.kind != "bench" &&
+                     !isFailureTaxonomy(outcome.taxonomy) &&
+                     startsWith(outcome.result, "{") &&
+                     jsonValid(outcome.result);
+    countJob(outcome.taxonomy, hasResult ? outcome.result : "");
 
     JsonWriter w(0);
     w.beginObject();
@@ -927,6 +961,8 @@ Coordinator::recordJob(const Job &job, const JobOutcome &outcome)
     w.field("wall_ms", outcome.wallMs);
     if (!job.ckptPath.empty())
         w.field("ckpt", job.ckptPath);
+    if (hasResult)
+        w.key("result").rawValue(outcome.result);
     w.field("cmd", joinArgv(job.argv));
     if (!outcome.stderrTail.empty())
         w.field("stderr_tail", outcome.stderrTail);
@@ -986,30 +1022,23 @@ Coordinator::run()
     }
 
     // Resume: any job id already recorded in the manifest is final
-    // (job lines are only appended after retries settle), so skip it.
+    // (job lines are only appended after retries settle), so skip it
+    // and count it again. Job lines are flushed as jobs settle, so
+    // counting them, not the closing metrics line, also covers an
+    // invocation that was killed before writing that line.
     std::set<std::string> done;
     if (opts.resume) {
         std::ifstream in(opts.manifestPath);
         std::string line;
-        std::string lastMetrics;
         while (std::getline(in, line)) {
-            std::string type, id;
-            if (!jsonExtractString(line, "type", type))
-                continue;
-            if (type == "job" &&
-                jsonExtractString(line, "id", id)) {
-                done.insert(id);
-            } else if (type == "metrics") {
-                lastMetrics = line;
+            std::string type, id, taxonomy, result;
+            if (jsonExtractString(line, "type", type) && type == "job" &&
+                jsonExtractString(line, "id", id) &&
+                done.insert(id).second &&
+                jsonExtractString(line, "taxonomy", taxonomy)) {
+                jsonExtractRaw(line, "result", result);
+                countJob(taxonomy, result);
             }
-        }
-        // Re-seed the metrics registry from the last snapshot, so
-        // counters accumulate across the resumed run instead of
-        // restarting from zero.
-        std::string counters;
-        if (!lastMetrics.empty() &&
-            jsonExtractRaw(lastMetrics, "counters", counters)) {
-            obs::Registry::process().restoreCounters(counters);
         }
     }
 
@@ -1075,8 +1104,8 @@ Coordinator::run()
         manifest.writeLine(w.str());
     }
     {
-        // Durable counter snapshot: --resume reads the last one of
-        // these back into the registry before scheduling.
+        // Counter snapshot. After --resume it covers every job in
+        // the manifest, since the scan above recounted earlier ones.
         JsonWriter w(0);
         w.beginObject();
         w.field("type", "metrics");

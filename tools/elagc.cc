@@ -266,34 +266,6 @@ listWorkloads()
         std::printf("  %-10s %s\n", info.name, info.description);
 }
 
-pipeline::MachineConfig
-machineFor(const Options &opts)
-{
-    pipeline::MachineConfig cfg =
-        opts.machine == "baseline"
-            ? pipeline::MachineConfig::baseline()
-            : pipeline::MachineConfig::proposed();
-    if (opts.table) {
-        cfg.addressTableEnabled = true;
-        cfg.addressTableEntries = opts.table;
-    }
-    if (opts.regs) {
-        cfg.earlyCalcEnabled = true;
-        cfg.registerCacheSize = opts.regs;
-    }
-    if (opts.selection == "compiler")
-        cfg.selection = pipeline::SelectionPolicy::CompilerSpec;
-    else if (opts.selection == "ev")
-        cfg.selection = pipeline::SelectionPolicy::EvSelect;
-    else if (opts.selection == "all-predict")
-        cfg.selection = pipeline::SelectionPolicy::AllPredict;
-    else if (opts.selection == "all-early")
-        cfg.selection = pipeline::SelectionPolicy::AllEarlyCalc;
-    else if (!opts.selection.empty())
-        fatal("unknown selection policy '%s'", opts.selection.c_str());
-    return cfg;
-}
-
 void
 printSpecCounters(FILE *out, const char *label,
                   const pipeline::SpecCounters &c)
@@ -488,7 +460,8 @@ main(int argc, char **argv)
 
             // Faults perturb only the machine under test; the
             // baseline reference stays clean.
-            pipeline::MachineConfig mcfg = machineFor(opts);
+            pipeline::MachineConfig mcfg = sim::machineConfig(
+                opts.machine, opts.selection, opts.table, opts.regs);
             std::optional<verify::FaultInjector> injector;
             if (!opts.inject.empty()) {
                 injector.emplace(verify::planByName(opts.inject),
