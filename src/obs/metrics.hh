@@ -2,11 +2,11 @@
  * @file
  * Process-wide metrics registry: the one place runtime counters live.
  *
- * Before this layer, operational statistics were scattered across
- * bespoke structs — serve::ServerMetrics, sim::RunCache::Stats, the
- * campaign runner's taxonomy tallies — each with its own locking and
- * its own serialization dialect. The registry absorbs them behind a
- * single typed API:
+ * Counts are recorded here and read back from here: the serve stats
+ * documents and sim::RunCache::stats() report registry values rather
+ * than keeping tallies of their own. The one exception is
+ * cache::PersistentStore::Stats, which keeps per-store tallies and
+ * mirrors them into the registry. The typed API:
  *
  *     obs::Counter &hits = obs::Registry::process().counter(
  *         "elag_runcache_hits_total", "Run-cache lookups served "

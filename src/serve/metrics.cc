@@ -40,26 +40,6 @@ ServerMetrics::record(const std::string &verb, bool ok,
     vs.latency->observe(micros);
 }
 
-uint64_t
-ServerMetrics::totalRequests() const
-{
-    std::lock_guard<std::mutex> lock(mu);
-    uint64_t total = 0;
-    for (const auto &kv : verbs)
-        total += kv.second.requests->value();
-    return total;
-}
-
-uint64_t
-ServerMetrics::totalErrors() const
-{
-    std::lock_guard<std::mutex> lock(mu);
-    uint64_t total = 0;
-    for (const auto &kv : verbs)
-        total += kv.second.errors->value();
-    return total;
-}
-
 void
 ServerMetrics::writeJson(JsonWriter &w) const
 {

@@ -47,12 +47,6 @@ class ServerMetrics
     /** Record one finished request: outcome + service micros. */
     void record(const std::string &verb, bool ok, uint64_t micros);
 
-    /** Total requests recorded across verbs. */
-    uint64_t totalRequests() const;
-
-    /** Total error responses recorded across verbs. */
-    uint64_t totalErrors() const;
-
     /**
      * Serialize as {"<verb>": {"requests", "errors", "mean_us",
      * "latency_us": {histogram}}, ...} in verb-name order.

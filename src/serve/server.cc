@@ -1,20 +1,10 @@
 #include "serve/server.hh"
 
-#include <poll.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
-#include <cerrno>
-#include <chrono>
-#include <csignal>
-#include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <future>
 
 #include "obs/build_info.hh"
 #include "obs/metrics.hh"
-#include "obs/span.hh"
 #include "sim/decoded.hh"
 #include "sim/run_cache.hh"
 #include "sim/simulator.hh"
@@ -30,42 +20,9 @@ namespace {
 
 trace::Channel &serverTrace = trace::channel("server");
 
-/**
- * Write end of the drain self-pipe, published for the signal
- * handler. The handler only ever write(2)s one byte, which is
- * async-signal-safe; all actual drain work happens on the acceptor
- * thread when the poll wakes up.
- */
-std::atomic<int> gSignalWakeFd{-1};
-
-extern "C" void
-drainSignalHandler(int)
-{
-    int fd = gSignalWakeFd.load(std::memory_order_relaxed);
-    if (fd >= 0) {
-        char byte = 's';
-        // The pipe filling up just means a wakeup is already
-        // pending, so a failed write is fine to ignore.
-        ssize_t ignored = ::write(fd, &byte, 1);
-        (void)ignored;
-    }
-}
-
-uint64_t
-elapsedMicros(std::chrono::steady_clock::time_point since)
-{
-    return std::chrono::duration_cast<std::chrono::microseconds>(
-               std::chrono::steady_clock::now() - since)
-        .count();
-}
-
-/**
- * Registry-backed mirrors of the server's lifecycle atomics, so the
- * same counts the stats verb reports are scrapeable as metrics.
- */
+/** The admission counts the stats verb reports, in the registry. */
 struct ServeCounters
 {
-    obs::Counter &accepted;
     obs::Counter &admitted;
     obs::Counter &rejectedOverload;
     obs::Counter &rejectedDraining;
@@ -76,8 +33,6 @@ struct ServeCounters
         static ServeCounters counters = [] {
             obs::Registry &r = obs::Registry::process();
             return ServeCounters{
-                r.counter("elag_serve_accepted_connections_total",
-                          "Connections accepted by the daemon."),
                 r.counter("elag_serve_admitted_total",
                           "Work requests past admission control."),
                 r.counter("elag_serve_rejected_total",
@@ -97,22 +52,17 @@ struct ServeCounters
 } // anonymous namespace
 
 Server::Server(const ServerConfig &config)
-    : cfg(config), router(RouterConfig{config.defaultDeadlineMs,
-                                       config.persist,
-                                       config.checkpointDir,
-                                       config.checkpointEvery})
+    : cfg(config),
+      router(RouterConfig{config.defaultDeadlineMs, config.persist,
+                          config.checkpointDir, config.checkpointEvery}),
+      frontend(config.socketPath, config.tcpPort, config.maxFrameBytes,
+               "request", serverTrace,
+               [this](const Request &request, const std::string &) {
+                   return handle(request);
+               })
 {
     if (cfg.queueDepth == 0)
         fatal("elagd: --queue-depth must be at least 1");
-}
-
-Server::~Server()
-{
-    if (started_.load()) {
-        beginDrain();
-        if (acceptor.joinable())
-            wait();
-    }
 }
 
 parallel::ThreadPool &
@@ -121,234 +71,14 @@ Server::pool()
     return cfg.pool ? *cfg.pool : parallel::ThreadPool::shared();
 }
 
-void
-Server::start()
-{
-    elag_assert(!started_.load());
-    ignoreSigpipe();
-
-    int pipe_fds[2];
-    if (::pipe(pipe_fds) != 0)
-        fatal("elagd: cannot create wake pipe: %s", strerror(errno));
-    wakeRead.reset(pipe_fds[0]);
-    wakeWrite.reset(pipe_fds[1]);
-
-    unixListener = listenUnix(cfg.socketPath);
-    if (cfg.tcpPort)
-        tcpListener = listenTcpLoopback(cfg.tcpPort);
-
-    started_.store(true);
-    acceptor = std::thread([this] { acceptLoop(); });
-}
-
-void
-Server::installSignalHandlers()
-{
-    elag_assert(wakeWrite.valid());
-    gSignalWakeFd.store(wakeWrite.get(), std::memory_order_relaxed);
-    struct sigaction sa = {};
-    sa.sa_handler = drainSignalHandler;
-    sigemptyset(&sa.sa_mask);
-    sa.sa_flags = 0;
-    ::sigaction(SIGTERM, &sa, nullptr);
-    ::sigaction(SIGINT, &sa, nullptr);
-}
-
-void
-Server::restoreSignalHandlers()
-{
-    gSignalWakeFd.store(-1, std::memory_order_relaxed);
-    struct sigaction sa = {};
-    sa.sa_handler = SIG_DFL;
-    sigemptyset(&sa.sa_mask);
-    ::sigaction(SIGTERM, &sa, nullptr);
-    ::sigaction(SIGINT, &sa, nullptr);
-}
-
-void
-Server::beginDrain()
-{
-    if (draining_.exchange(true))
-        return;
-
-    ELAG_TRACE_EVT(serverTrace, requestSeq_.load(), "drain begins");
-
-    // Wake the acceptor's poll so it stops accepting promptly.
-    if (wakeWrite.valid()) {
-        char byte = 'd';
-        ssize_t ignored = ::write(wakeWrite.get(), &byte, 1);
-        (void)ignored;
-    }
-
-    // EOF the read side of every open connection: idle clients see
-    // a clean close, while responses still in flight go out on the
-    // untouched write side. Connections deregister before closing,
-    // so every fd in the set is still owned by its thread here.
-    std::lock_guard<std::mutex> lock(connMu);
-    for (int fd : activeFds)
-        ::shutdown(fd, SHUT_RD);
-}
-
-void
-Server::wait()
-{
-    elag_assert(started_.load());
-    if (acceptor.joinable())
-        acceptor.join();
-
-    // The acceptor is gone, so no new connection threads can appear;
-    // one sweep collects them all. Join outside the lock — threads
-    // take connMu themselves to deregister their fd.
-    std::vector<std::thread> threads;
-    {
-        std::lock_guard<std::mutex> lock(connMu);
-        threads.swap(connThreads);
-    }
-    for (std::thread &t : threads)
-        if (t.joinable())
-            t.join();
-
-    unixListener.reset();
-    tcpListener.reset();
-    if (!cfg.socketPath.empty())
-        ::unlink(cfg.socketPath.c_str());
-}
-
-void
-Server::acceptLoop()
-{
-    while (!draining_.load()) {
-        struct pollfd fds[3];
-        fds[0] = {wakeRead.get(), POLLIN, 0};
-        fds[1] = {unixListener.get(), POLLIN, 0};
-        nfds_t nfds = 2;
-        if (tcpListener.valid())
-            fds[nfds++] = {tcpListener.get(), POLLIN, 0};
-
-        int rc = ::poll(fds, nfds, -1);
-        if (rc < 0) {
-            if (errno == EINTR)
-                continue;
-            warn("elagd: poll failed: %s", strerror(errno));
-            beginDrain();
-            break;
-        }
-
-        if (fds[0].revents) {
-            // Drain or signal wakeup; beginDrain is idempotent, so
-            // it is safe to run it for a byte it wrote itself.
-            beginDrain();
-            break;
-        }
-
-        for (nfds_t i = 1; i < nfds; ++i) {
-            if (!(fds[i].revents & POLLIN))
-                continue;
-            int conn = acceptOn(fds[i].fd);
-            if (conn < 0)
-                continue;
-            uint64_t conn_id = accepted_.fetch_add(1) + 1;
-            ServeCounters::instance().accepted.inc();
-            std::lock_guard<std::mutex> lock(connMu);
-            if (draining_.load()) {
-                // Lost the race with beginDrain: it already swept
-                // activeFds, so close rather than serve.
-                ::close(conn);
-                continue;
-            }
-            activeFds.insert(conn);
-            connThreads.emplace_back(
-                [this, conn, conn_id] { serveConnection(conn, conn_id); });
-        }
-    }
-}
-
-void
-Server::serveConnection(int fd, uint64_t conn_id)
-{
-    std::string payload;
-    for (;;) {
-        FrameStatus status = readFrame(fd, payload, cfg.maxFrameBytes);
-        if (status == FrameStatus::Eof)
-            break;
-        if (status == FrameStatus::Oversized) {
-            // The stream cannot be resynchronized; tell the peer
-            // why, then hang up.
-            Request anon;
-            writeFrame(fd, errorResponse(
-                               anon, errtype::BadRequest,
-                               formatString("frame exceeds %zu byte limit",
-                                            cfg.maxFrameBytes)));
-            break;
-        }
-        if (status != FrameStatus::Ok)
-            break; // Truncated / IoError: peer died mid-frame.
-
-        auto started = std::chrono::steady_clock::now();
-        uint64_t seq = requestSeq_.fetch_add(1) + 1;
-
-        // One span per request, parse through response write; the
-        // client attaches the same trace_id to its side, so the two
-        // trace files line up per request.
-        obs::Span span("request", "serve");
-        span.arg("conn", std::to_string(conn_id));
-
-        Request request;
-        std::string parse_error;
-        std::string response;
-        bool initiate_drain = false;
-        if (!parseRequest(payload, request, parse_error)) {
-            response = errorResponse(request, errtype::BadRequest,
-                                     parse_error);
-        } else {
-            span.arg("verb", request.verb);
-            if (!request.trace.empty())
-                span.arg("trace_id", request.trace);
-            response = handle(request, initiate_drain);
-        }
-
-        uint64_t micros = elapsedMicros(started);
-        bool ok = startsWith(response, "{\"ok\":true");
-        const std::string &verb =
-            request.verb.empty() ? "<invalid>" : request.verb;
-        metrics_.record(verb, ok, micros);
-        ELAG_TRACE_EVT(serverTrace, seq,
-                       "conn %llu verb=%s id=%llu %s %llu us",
-                       (unsigned long long)conn_id, verb.c_str(),
-                       (unsigned long long)request.id,
-                       ok ? "ok" : "error",
-                       (unsigned long long)micros);
-
-        bool wrote = writeFrame(fd, response);
-        span.end();
-        if (initiate_drain) {
-            // The drain ack is the last frame on this connection:
-            // closing here makes the cutoff deterministic for the
-            // requesting client, while beginDrain EOFs the others.
-            beginDrain();
-            break;
-        }
-        if (!wrote)
-            break;
-    }
-
-    // Deregister before closing so beginDrain never shutdown(2)s a
-    // recycled descriptor.
-    {
-        std::lock_guard<std::mutex> lock(connMu);
-        activeFds.erase(fd);
-    }
-    ::close(fd);
-}
-
 std::string
-Server::handle(const Request &request, bool &initiate_drain)
+Server::handle(const Request &request)
 {
     if (request.verb == "health") {
         JsonWriter w(0);
         w.beginObject();
         w.field("status", "ok");
-        w.field("draining", draining_.load());
+        w.field("draining", frontend.draining());
         w.endObject();
         return okResponse(request, w.str());
     }
@@ -390,15 +120,6 @@ Server::handle(const Request &request, bool &initiate_drain)
         return okResponse(request, w.str());
     }
 
-    if (request.verb == "drain") {
-        initiate_drain = true;
-        JsonWriter w(0);
-        w.beginObject();
-        w.field("draining", true);
-        w.endObject();
-        return okResponse(request, w.str());
-    }
-
     // Chaos hook for supervision-tree tests: with ELAG_CHAOS_CRASH
     // set in the environment, the `crash` verb kills this process
     // dead, mid-request, exactly like a wild simulator bug would.
@@ -413,8 +134,7 @@ Server::handle(const Request &request, bool &initiate_drain)
                              formatString("unknown verb '%s'",
                                           request.verb.c_str()));
 
-    if (draining_.load()) {
-        rejectedDraining_.fetch_add(1);
+    if (frontend.draining()) {
         ServeCounters::instance().rejectedDraining.inc();
         return errorResponse(request, errtype::ShuttingDown,
                              "server is draining");
@@ -433,7 +153,6 @@ Server::executeAdmitted(const Request &request)
     uint32_t backlog = backlog_.load();
     do {
         if (backlog >= cfg.queueDepth) {
-            rejectedOverload_.fetch_add(1);
             ServeCounters::instance().rejectedOverload.inc();
             return errorResponse(
                 request, errtype::Overloaded,
@@ -442,7 +161,6 @@ Server::executeAdmitted(const Request &request)
                              backlog, cfg.queueDepth));
         }
     } while (!backlog_.compare_exchange_weak(backlog, backlog + 1));
-    admitted_.fetch_add(1);
     ServeCounters::instance().admitted.inc();
 
     std::promise<std::string> done;
@@ -481,11 +199,7 @@ Server::executeAdmitted(const Request &request)
 std::string
 Server::statsJson() const
 {
-    size_t active;
-    {
-        std::lock_guard<std::mutex> lock(connMu);
-        active = activeFds.size();
-    }
+    const ServeCounters &counters = ServeCounters::instance();
     sim::RunCache &cache = sim::RunCache::instance();
     sim::RunCache::Stats cs = cache.stats();
 
@@ -493,14 +207,7 @@ Server::statsJson() const
     w.beginObject();
 
     w.key("server").beginObject();
-    w.field("draining", draining_.load());
-    w.field("accepted", accepted_.load());
-    w.field("active_connections", static_cast<uint64_t>(active));
-    w.field("uptime_seconds",
-            static_cast<uint64_t>(
-                std::chrono::duration_cast<std::chrono::seconds>(
-                    std::chrono::steady_clock::now() - startTime_)
-                    .count()));
+    frontend.writeServerFields(w);
     w.endObject();
 
     w.key("build");
@@ -510,14 +217,14 @@ Server::statsJson() const
     w.field("depth", static_cast<uint64_t>(cfg.queueDepth));
     w.field("backlog", static_cast<uint64_t>(backlog_.load()));
     w.field("executing", static_cast<uint64_t>(executing_.load()));
-    w.field("admitted", admitted_.load());
-    w.field("rejected_overload", rejectedOverload_.load());
-    w.field("rejected_draining", rejectedDraining_.load());
+    w.field("admitted", counters.admitted.value());
+    w.field("rejected_overload", counters.rejectedOverload.value());
+    w.field("rejected_draining", counters.rejectedDraining.value());
     w.field("completed", completed_.load());
     w.endObject();
 
     w.key("verbs");
-    metrics_.writeJson(w);
+    frontend.verbMetrics().writeJson(w);
 
     w.key("run_cache").beginObject();
     w.field("hits", cs.hits);

@@ -1,48 +1,38 @@
 /**
  * @file
- * The elagd server loop.
+ * The elagd server: one process that compiles and simulates.
  *
- * Threading model:
+ * The client-facing transport (listeners, connection threads, the
+ * `drain` verb, signals) is the shared serve::Frontend; this class
+ * is the handler behind it. Control verbs (stats/health/metrics)
+ * are answered inline on the connection thread and bypass admission
+ * control, so they keep working under overload. Work verbs pass
+ * admission control: a bounded count of requests
+ * submitted-but-not-started. At the configured depth new work is
+ * rejected immediately with a typed `overloaded` error instead of
+ * queueing unboundedly. Admitted requests execute on the
+ * support::parallel worker pool (shared with the rest of the
+ * toolchain, sized by --jobs); the connection thread blocks on the
+ * result future and writes the response, so each connection is
+ * strictly request/response ordered.
  *
- *  - One acceptor thread polls the Unix-domain listener, the
- *    optional TCP-loopback listener, and a self-pipe; each accepted
- *    connection gets a (joinable, tracked) connection thread.
- *  - Connection threads read frames, parse requests, and answer
- *    control verbs (stats/health/metrics/drain) inline — those
- *    bypass admission control so they keep working under overload.
- *  - Work verbs pass admission control: a bounded count of requests
- *    submitted-but-not-started. At the configured depth new work is
- *    rejected immediately with a typed `overloaded` error instead of
- *    queueing unboundedly. Admitted requests execute on the
- *    support::parallel worker pool (shared with the rest of the
- *    toolchain, sized by --jobs); the connection thread blocks on
- *    the result future and writes the response, so each connection
- *    is strictly request/response ordered.
- *
- * Graceful drain (SIGTERM/SIGINT via the self-pipe, or the `drain`
- * verb): stop accepting, shut down the read side of every open
- * connection so idle clients see EOF, let in-flight requests finish
- * and their responses flush, then wait() returns so the daemon can
- * flush stats and exit 0.
+ * The admission and run-cache counts in the stats document are read
+ * from the process registry (`elag_serve_admitted_total`,
+ * `elag_serve_rejected_total{reason}`, `elag_runcache_*`); in an
+ * elagd process, which holds one server, they are this server's.
  */
 
 #ifndef ELAG_SERVE_SERVER_HH
 #define ELAG_SERVE_SERVER_HH
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
-#include <mutex>
-#include <set>
 #include <string>
-#include <thread>
-#include <vector>
 
 #include "cache/persistent_store.hh"
 #include "serve/framing.hh"
-#include "serve/metrics.hh"
+#include "serve/frontend.hh"
 #include "serve/router.hh"
-#include "serve/socket.hh"
 #include "support/parallel.hh"
 
 namespace elag {
@@ -83,7 +73,6 @@ class Server
 {
   public:
     explicit Server(const ServerConfig &config);
-    ~Server();
 
     Server(const Server &) = delete;
     Server &operator=(const Server &) = delete;
@@ -92,49 +81,28 @@ class Server
      * Bind listeners and start the acceptor. Throws FatalError when
      * a listener cannot be set up.
      */
-    void start();
+    void start() { frontend.start(); }
+
+    /** Begin graceful drain (see Frontend::beginDrain). */
+    void beginDrain() { frontend.beginDrain(); }
+
+    bool draining() const { return frontend.draining(); }
 
     /**
-     * Begin graceful drain (idempotent, callable from any thread,
-     * including connection threads and the signal path): stop
-     * accepting, EOF idle connections, let in-flight work finish.
+     * Block until the server has fully drained (see Frontend::wait).
+     * Call exactly once, after start().
      */
-    void beginDrain();
+    void wait() { frontend.wait(); }
 
-    bool draining() const { return draining_.load(); }
-
-    /**
-     * Block until the server has fully drained: acceptor gone,
-     * every connection thread joined, listeners closed, socket file
-     * unlinked. Call exactly once, after start().
-     */
-    void wait();
-
-    /**
-     * Route SIGTERM/SIGINT to beginDrain() through a self-pipe (the
-     * handler only write(2)s, so it is async-signal-safe). Restore
-     * with restoreSignalHandlers() — tests install and restore
-     * around each server lifetime.
-     */
-    void installSignalHandlers();
-    static void restoreSignalHandlers();
+    /** SIGTERM/SIGINT -> beginDrain via the front end's self-pipe. */
+    void installSignalHandlers() { frontend.installSignalHandlers(); }
 
     /** The `stats` verb document (also flushed at daemon exit). */
     std::string statsJson() const;
 
-    ServerMetrics &metrics() { return metrics_; }
-    const ServerConfig &config() const { return cfg; }
-
   private:
-    void acceptLoop();
-    void serveConnection(int fd, uint64_t conn_id);
-
-    /**
-     * Answer one parsed request. Sets @p initiate_drain for the
-     * `drain` verb so the caller can begin draining after the
-     * response has been written.
-     */
-    std::string handle(const Request &request, bool &initiate_drain);
+    /** Answer one request the front end hands over. */
+    std::string handle(const Request &request);
 
     /** Admission control + pool execution of one work verb. */
     std::string executeAdmitted(const Request &request);
@@ -143,32 +111,17 @@ class Server
 
     ServerConfig cfg;
     Router router;
-    ServerMetrics metrics_;
 
-    Fd unixListener;
-    Fd tcpListener;
-    /** Self-pipe waking the acceptor's poll (drain, signals). */
-    Fd wakeRead, wakeWrite;
-
-    std::thread acceptor;
-    mutable std::mutex connMu;
-    std::vector<std::thread> connThreads;
-    std::set<int> activeFds;
-
-    std::atomic<bool> started_{false};
-    std::atomic<bool> draining_{false};
-    std::atomic<uint64_t> accepted_{0};
-    std::atomic<uint64_t> requestSeq_{0};
     /** Admitted but not yet started on a worker. */
     std::atomic<uint32_t> backlog_{0};
     std::atomic<uint32_t> executing_{0};
-    std::atomic<uint64_t> admitted_{0};
-    std::atomic<uint64_t> rejectedOverload_{0};
-    std::atomic<uint64_t> rejectedDraining_{0};
     std::atomic<uint64_t> completed_{0};
-    /** Construction time, for the stats verb's uptime_seconds. */
-    std::chrono::steady_clock::time_point startTime_ =
-        std::chrono::steady_clock::now();
+
+    /**
+     * Last, so it is destroyed first: its destructor drains and
+     * joins every connection thread before the router goes away.
+     */
+    Frontend frontend;
 };
 
 } // namespace serve

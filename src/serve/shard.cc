@@ -56,6 +56,34 @@ name(ShardState state)
     return "?";
 }
 
+Exchange
+exchangeFrame(const std::string &socket_path, const std::string &request,
+              size_t max_payload, uint64_t timeout_ms,
+              std::string &response)
+{
+    Fd fd;
+    try {
+        fd = connectUnix(socket_path);
+    } catch (const FatalError &) {
+        return Exchange::ConnectFail; // socket not bound (yet)
+    }
+    if (!writeFrame(fd.get(), request))
+        return Exchange::ConnectFail;
+    switch (readFrameTimed(fd.get(), response, max_payload,
+                           timeout_ms)) {
+      case FrameStatus::Ok:
+        return Exchange::Ok;
+      case FrameStatus::Timeout:
+        return Exchange::Timeout;
+      case FrameStatus::Eof:
+      case FrameStatus::Truncated:
+      case FrameStatus::IoError:
+      case FrameStatus::Oversized:
+        return Exchange::Died;
+    }
+    return Exchange::Died;
+}
+
 uint64_t
 RestartPolicy::delayMs(uint32_t streak) const
 {
@@ -177,7 +205,6 @@ ShardManager::recordDeathLocked(uint32_t index,
     shard.missedBeats = 0;
     shard.pendingReason.clear();
     ++shard.restarts;
-    restartsTotal_.fetch_add(1);
     restartCounter(reason).inc();
 
     if (cfg.restart.breakerTrips(shard.crashStreak)) {
@@ -202,27 +229,13 @@ ShardManager::recordDeathLocked(uint32_t index,
     liveCount_.store(live);
 }
 
-bool
-ShardManager::heartbeat(const std::string &socket_path) const
-{
-    try {
-        Fd fd(connectUnix(socket_path));
-        Request ping;
-        ping.verb = "health";
-        if (!writeFrame(fd.get(), buildRequestDoc(ping)))
-            return false;
-        std::string payload;
-        return readFrameTimed(fd.get(), payload, kMaxFramePayload,
-                              cfg.heartbeatTimeoutMs) ==
-               FrameStatus::Ok;
-    } catch (const FatalError &) {
-        return false; // connect refused: socket not bound (yet)
-    }
-}
-
 void
 ShardManager::monitorLoop()
 {
+    Request ping;
+    ping.verb = "health";
+    const std::string ping_doc = buildRequestDoc(ping);
+
     while (running_.load()) {
         uint64_t now = monotonicMs();
 
@@ -279,7 +292,11 @@ ShardManager::monitorLoop()
         // Heartbeat IO happens unlocked; results are applied only if
         // the shard is still the same incarnation (same pid).
         for (const Probe &probe : probes) {
-            bool alive = heartbeat(probe.socket);
+            std::string pong;
+            bool alive = exchangeFrame(probe.socket, ping_doc,
+                                       kMaxFramePayload,
+                                       cfg.heartbeatTimeoutMs,
+                                       pong) == Exchange::Ok;
             std::lock_guard<std::mutex> lock(mu);
             Shard &shard = shards_[probe.index];
             if (shard.pid != probe.pid ||
@@ -380,12 +397,6 @@ ShardManager::isQuarantined(uint64_t hash) const
     auto it = poisonCounts_.find(hash);
     return it != poisonCounts_.end() &&
            it->second >= cfg.quarantineThreshold;
-}
-
-uint64_t
-ShardManager::restartsTotal() const
-{
-    return restartsTotal_.load();
 }
 
 std::vector<ShardManager::ShardInfo>

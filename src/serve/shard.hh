@@ -90,6 +90,26 @@ enum class ShardState
 /** Stable lowercase name for stats documents and logs. */
 const char *name(ShardState state);
 
+/** How one request/response exchange with a worker ended. */
+enum class Exchange
+{
+    Ok,          ///< response frame received
+    ConnectFail, ///< could not connect or write (worker not there)
+    Died,        ///< stream broke mid-exchange (worker died)
+    Timeout,     ///< read budget expired (worker hung)
+};
+
+/**
+ * Connect to the worker socket at @p socket_path, send @p request as
+ * one frame and read one response frame of at most @p max_payload
+ * bytes into @p response within @p timeout_ms (0 = unbounded). The
+ * supervisor's proxy and metrics scrape and the manager's heartbeats
+ * all talk to workers this way.
+ */
+Exchange exchangeFrame(const std::string &socket_path,
+                       const std::string &request, size_t max_payload,
+                       uint64_t timeout_ms, std::string &response);
+
 struct ShardManagerConfig
 {
     uint32_t shards = 0;
@@ -167,9 +187,6 @@ class ShardManager
     /** @return true when @p hash has been quarantined. */
     bool isQuarantined(uint64_t hash) const;
 
-    /** Total worker respawns, all reasons (stats + tests). */
-    uint64_t restartsTotal() const;
-
     /** One shard's row in the supervisor's stats document. */
     struct ShardInfo
     {
@@ -211,15 +228,12 @@ class ShardManager
     /** Death bookkeeping: streak, backoff, breaker. Lock held. */
     void recordDeathLocked(uint32_t index, const std::string &reason,
                            uint64_t now_ms);
-    /** One heartbeat round-trip; no lock held (blocking IO). */
-    bool heartbeat(const std::string &socket_path) const;
 
     ShardManagerConfig cfg;
 
     mutable std::mutex mu;
     std::vector<Shard> shards_;
     std::unordered_map<uint64_t, uint32_t> poisonCounts_;
-    std::atomic<uint64_t> restartsTotal_{0};
     std::atomic<uint32_t> liveCount_{0};
 
     std::thread monitor_;

@@ -30,7 +30,7 @@ namespace serve {
 /**
  * Ignore SIGPIPE for the whole process (idempotent). Both elagd and
  * elag_client call this before touching a socket; library users that
- * embed a Server get it from Server::start().
+ * embed a Server get it from Frontend::start().
  */
 void ignoreSigpipe();
 
@@ -58,15 +58,6 @@ class Fd
 
     int get() const { return fd_; }
     bool valid() const { return fd_ >= 0; }
-
-    /** Give up ownership without closing. */
-    int
-    release()
-    {
-        int fd = fd_;
-        fd_ = -1;
-        return fd;
-    }
 
     /** Close (if open) and adopt @p fd. */
     void reset(int fd = -1);

@@ -1,17 +1,9 @@
 #include "serve/supervisor.hh"
 
-#include <poll.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
-#include <cerrno>
-#include <chrono>
-#include <csignal>
-#include <cstring>
+#include <algorithm>
 
 #include "obs/build_info.hh"
 #include "obs/metrics.hh"
-#include "obs/span.hh"
 #include "serve/protocol.hh"
 #include "serve/routing.hh"
 #include "support/json.hh"
@@ -26,28 +18,6 @@ namespace {
 
 trace::Channel &supTrace = trace::channel("supervisor");
 
-/** Self-pipe write end for the signal handler (as Server's). */
-std::atomic<int> gSupSignalWakeFd{-1};
-
-extern "C" void
-supervisorSignalHandler(int)
-{
-    int fd = gSupSignalWakeFd.load(std::memory_order_relaxed);
-    if (fd >= 0) {
-        char byte = 's';
-        ssize_t ignored = ::write(fd, &byte, 1);
-        (void)ignored;
-    }
-}
-
-uint64_t
-elapsedMicros(std::chrono::steady_clock::time_point since)
-{
-    return std::chrono::duration_cast<std::chrono::microseconds>(
-               std::chrono::steady_clock::now() - since)
-        .count();
-}
-
 obs::Counter &
 quarantinedCounter()
 {
@@ -60,7 +30,13 @@ quarantinedCounter()
 
 } // anonymous namespace
 
-Supervisor::Supervisor(const SupervisorConfig &config) : cfg(config)
+Supervisor::Supervisor(const SupervisorConfig &config)
+    : cfg(config),
+      frontend(config.socketPath, config.tcpPort, config.maxFrameBytes,
+               "proxy", supTrace,
+               [this](const Request &request, const std::string &raw) {
+                   return handle(request, raw);
+               })
 {
     if (cfg.shards.shards == 0)
         fatal("elagd: supervisor needs at least one shard");
@@ -69,235 +45,35 @@ Supervisor::Supervisor(const SupervisorConfig &config) : cfg(config)
     shards_.reset(new ShardManager(cfg.shards));
 }
 
-Supervisor::~Supervisor()
-{
-    if (started_.load()) {
-        beginDrain();
-        if (acceptor.joinable())
-            wait();
-    }
-}
-
 void
 Supervisor::start()
 {
-    elag_assert(!started_.load());
-    ignoreSigpipe();
-
-    int pipe_fds[2];
-    if (::pipe(pipe_fds) != 0)
-        fatal("elagd: cannot create wake pipe: %s", strerror(errno));
-    wakeRead.reset(pipe_fds[0]);
-    wakeWrite.reset(pipe_fds[1]);
-
     // Workers first: by the time a client can connect there is a
     // fleet to route to (workers may still be binding; admission
     // answers `unavailable` until the first heartbeat lands).
     shards_->start();
-
-    unixListener = listenUnix(cfg.socketPath);
-    if (cfg.tcpPort)
-        tcpListener = listenTcpLoopback(cfg.tcpPort);
-
-    started_.store(true);
-    acceptor = std::thread([this] { acceptLoop(); });
-}
-
-void
-Supervisor::installSignalHandlers()
-{
-    elag_assert(wakeWrite.valid());
-    gSupSignalWakeFd.store(wakeWrite.get(),
-                           std::memory_order_relaxed);
-    struct sigaction sa = {};
-    sa.sa_handler = supervisorSignalHandler;
-    sigemptyset(&sa.sa_mask);
-    sa.sa_flags = 0;
-    ::sigaction(SIGTERM, &sa, nullptr);
-    ::sigaction(SIGINT, &sa, nullptr);
-}
-
-void
-Supervisor::restoreSignalHandlers()
-{
-    gSupSignalWakeFd.store(-1, std::memory_order_relaxed);
-    struct sigaction sa = {};
-    sa.sa_handler = SIG_DFL;
-    sigemptyset(&sa.sa_mask);
-    ::sigaction(SIGTERM, &sa, nullptr);
-    ::sigaction(SIGINT, &sa, nullptr);
-}
-
-void
-Supervisor::beginDrain()
-{
-    if (draining_.exchange(true))
-        return;
-
-    ELAG_TRACE_EVT(supTrace, 0, "supervisor drain begins");
-
-    if (wakeWrite.valid()) {
-        char byte = 'd';
-        ssize_t ignored = ::write(wakeWrite.get(), &byte, 1);
-        (void)ignored;
-    }
-
-    std::lock_guard<std::mutex> lock(connMu);
-    for (int fd : activeFds)
-        ::shutdown(fd, SHUT_RD);
+    frontend.start();
 }
 
 void
 Supervisor::wait()
 {
-    elag_assert(started_.load());
-    if (acceptor.joinable())
-        acceptor.join();
-
-    std::vector<std::thread> threads;
-    {
-        std::lock_guard<std::mutex> lock(connMu);
-        threads.swap(connThreads);
-    }
-    for (std::thread &t : threads)
-        if (t.joinable())
-            t.join();
-
     // Every in-flight proxied request has completed (its connection
     // thread is joined); only now is it safe to take the fleet down.
+    frontend.wait();
     shards_->stop();
-
-    unixListener.reset();
-    tcpListener.reset();
-    if (!cfg.socketPath.empty())
-        ::unlink(cfg.socketPath.c_str());
-}
-
-void
-Supervisor::acceptLoop()
-{
-    while (!draining_.load()) {
-        struct pollfd fds[3];
-        fds[0] = {wakeRead.get(), POLLIN, 0};
-        fds[1] = {unixListener.get(), POLLIN, 0};
-        nfds_t nfds = 2;
-        if (tcpListener.valid())
-            fds[nfds++] = {tcpListener.get(), POLLIN, 0};
-
-        int rc = ::poll(fds, nfds, -1);
-        if (rc < 0) {
-            if (errno == EINTR)
-                continue;
-            warn("elagd: poll failed: %s", strerror(errno));
-            beginDrain();
-            break;
-        }
-
-        if (fds[0].revents) {
-            beginDrain();
-            break;
-        }
-
-        for (nfds_t i = 1; i < nfds; ++i) {
-            if (!(fds[i].revents & POLLIN))
-                continue;
-            int conn = acceptOn(fds[i].fd);
-            if (conn < 0)
-                continue;
-            uint64_t conn_id = accepted_.fetch_add(1) + 1;
-            std::lock_guard<std::mutex> lock(connMu);
-            if (draining_.load()) {
-                ::close(conn);
-                continue;
-            }
-            activeFds.insert(conn);
-            connThreads.emplace_back([this, conn, conn_id] {
-                serveConnection(conn, conn_id);
-            });
-        }
-    }
-}
-
-void
-Supervisor::serveConnection(int fd, uint64_t conn_id)
-{
-    std::string payload;
-    for (;;) {
-        FrameStatus status =
-            readFrame(fd, payload, cfg.maxFrameBytes);
-        if (status == FrameStatus::Eof)
-            break;
-        if (status == FrameStatus::Oversized) {
-            Request anon;
-            writeFrame(fd, errorResponse(
-                               anon, errtype::BadRequest,
-                               formatString(
-                                   "frame exceeds %zu byte limit",
-                                   cfg.maxFrameBytes)));
-            break;
-        }
-        if (status != FrameStatus::Ok)
-            break;
-
-        auto started = std::chrono::steady_clock::now();
-
-        obs::Span span("proxy", "serve");
-        span.arg("conn", std::to_string(conn_id));
-
-        Request request;
-        std::string parse_error;
-        std::string response;
-        bool initiate_drain = false;
-        if (!parseRequest(payload, request, parse_error)) {
-            response = errorResponse(request, errtype::BadRequest,
-                                     parse_error);
-        } else {
-            span.arg("verb", request.verb);
-            if (!request.trace.empty())
-                span.arg("trace_id", request.trace);
-            response = handle(request, payload, initiate_drain);
-        }
-
-        uint64_t micros = elapsedMicros(started);
-        bool ok = startsWith(response, "{\"ok\":true");
-        const std::string &verb =
-            request.verb.empty() ? "<invalid>" : request.verb;
-        metrics_.record(verb, ok, micros);
-        ELAG_TRACE_EVT(supTrace, conn_id,
-                       "conn %llu verb=%s id=%llu %s %llu us",
-                       (unsigned long long)conn_id, verb.c_str(),
-                       (unsigned long long)request.id,
-                       ok ? "ok" : "error",
-                       (unsigned long long)micros);
-
-        bool wrote = writeFrame(fd, response);
-        span.end();
-        if (initiate_drain) {
-            beginDrain();
-            break;
-        }
-        if (!wrote)
-            break;
-    }
-
-    {
-        std::lock_guard<std::mutex> lock(connMu);
-        activeFds.erase(fd);
-    }
-    ::close(fd);
 }
 
 std::string
 Supervisor::handle(const Request &request,
-                   const std::string &raw_payload,
-                   bool &initiate_drain)
+                   const std::string &raw_payload)
 {
     if (request.verb == "health") {
         JsonWriter w(0);
         w.beginObject();
         w.field("status", "ok");
         w.field("role", "supervisor");
-        w.field("draining", draining_.load());
+        w.field("draining", frontend.draining());
         w.field("shards",
                 static_cast<uint64_t>(cfg.shards.shards));
         w.field("shards_live",
@@ -312,54 +88,17 @@ Supervisor::handle(const Request &request,
     if (request.verb == "metrics")
         return aggregateMetrics(request);
 
-    if (request.verb == "drain") {
-        initiate_drain = true;
-        JsonWriter w(0);
-        w.beginObject();
-        w.field("draining", true);
-        w.endObject();
-        return okResponse(request, w.str());
-    }
-
     // Everything else — the work verbs, and any verb this supervisor
     // does not know — is the workers' business: route it. Workers
     // answer unknown verbs with the typed error themselves, so the
     // supervisor stays agnostic to worker-side verb growth.
-    if (draining_.load()) {
+    if (frontend.draining()) {
         rejectedDraining_.fetch_add(1);
         return errorResponse(request, errtype::ShuttingDown,
                              "server is draining");
     }
 
     return proxyWork(request, raw_payload);
-}
-
-Supervisor::ProxyOutcome
-Supervisor::proxyOnce(const std::string &socket_path,
-                      const std::string &raw_payload,
-                      uint64_t timeout_ms, std::string &response)
-{
-    Fd fd;
-    try {
-        fd = connectUnix(socket_path);
-    } catch (const FatalError &) {
-        return ProxyOutcome::ConnectFail;
-    }
-    if (!writeFrame(fd.get(), raw_payload))
-        return ProxyOutcome::ConnectFail;
-    switch (readFrameTimed(fd.get(), response, cfg.maxFrameBytes,
-                           timeout_ms)) {
-      case FrameStatus::Ok:
-        return ProxyOutcome::Ok;
-      case FrameStatus::Timeout:
-        return ProxyOutcome::Timeout;
-      case FrameStatus::Eof:
-      case FrameStatus::Truncated:
-      case FrameStatus::IoError:
-      case FrameStatus::Oversized:
-        return ProxyOutcome::Died;
-    }
-    return ProxyOutcome::Died;
 }
 
 std::string
@@ -369,7 +108,6 @@ Supervisor::proxyWork(const Request &request,
     uint64_t hash = routingHash(request);
 
     if (shards_->isQuarantined(hash)) {
-        rejectedQuarantine_.fetch_add(1);
         quarantinedCounter().inc();
         return errorResponse(
             request, errtype::Quarantined,
@@ -432,18 +170,18 @@ Supervisor::proxyWork(const Request &request,
             continue;
         attempted = true;
         std::string response;
-        ProxyOutcome outcome =
-            proxyOnce(shards_->socketPathOf(index), raw_payload,
-                      timeout_ms, response);
+        Exchange outcome =
+            exchangeFrame(shards_->socketPathOf(index), raw_payload,
+                          cfg.maxFrameBytes, timeout_ms, response);
         switch (outcome) {
-          case ProxyOutcome::Ok:
+          case Exchange::Ok:
             return response;
-          case ProxyOutcome::ConnectFail:
+          case Exchange::ConnectFail:
             // The worker is between death and respawn; its sibling
             // can take the request. Not the request's fault.
             retried_.fetch_add(1);
             continue;
-          case ProxyOutcome::Timeout:
+          case Exchange::Timeout:
             // The worker wedged on this request. Kill it (the
             // manager respawns it) and fail the request: its
             // deadline budget is spent, a sibling retry would just
@@ -456,14 +194,13 @@ Supervisor::proxyWork(const Request &request,
                              "deadline",
                              index,
                              (unsigned long long)timeout_ms));
-          case ProxyOutcome::Died: {
+          case Exchange::Died: {
             // The worker died mid-request. Work verbs are pure, so
             // the retry on a sibling is safe — unless this content
             // keeps killing workers.
             bool quarantined = shards_->recordPoison(hash);
             ++deaths;
             if (quarantined) {
-                rejectedQuarantine_.fetch_add(1);
                 quarantinedCounter().inc();
                 return errorResponse(
                     request, errtype::Quarantined,
@@ -530,8 +267,9 @@ Supervisor::aggregateMetrics(const Request &request)
         if (info.state != ShardState::Up)
             continue;
         std::string payload;
-        if (proxyOnce(info.socketPath, scrape_doc, 2000, payload) !=
-            ProxyOutcome::Ok) {
+        if (exchangeFrame(info.socketPath, scrape_doc,
+                          cfg.maxFrameBytes, 2000,
+                          payload) != Exchange::Ok) {
             continue;
         }
         Response response;
@@ -558,25 +296,12 @@ Supervisor::aggregateMetrics(const Request &request)
 std::string
 Supervisor::statsJson() const
 {
-    size_t active;
-    {
-        std::lock_guard<std::mutex> lock(connMu);
-        active = activeFds.size();
-    }
-
     JsonWriter w;
     w.beginObject();
 
     w.key("server").beginObject();
     w.field("role", "supervisor");
-    w.field("draining", draining_.load());
-    w.field("accepted", accepted_.load());
-    w.field("active_connections", static_cast<uint64_t>(active));
-    w.field("uptime_seconds",
-            static_cast<uint64_t>(
-                std::chrono::duration_cast<std::chrono::seconds>(
-                    std::chrono::steady_clock::now() - startTime_)
-                    .count()));
+    frontend.writeServerFields(w);
     w.endObject();
 
     w.key("build");
@@ -588,13 +313,13 @@ Supervisor::statsJson() const
     w.field("proxied", proxied_.load());
     w.field("retried", retried_.load());
     w.field("rejected_overload", rejectedOverload_.load());
-    w.field("rejected_quarantine", rejectedQuarantine_.load());
+    w.field("rejected_quarantine", quarantinedCounter().value());
     w.field("rejected_unavailable", rejectedUnavailable_.load());
     w.field("rejected_draining", rejectedDraining_.load());
     w.endObject();
 
     w.key("verbs");
-    metrics_.writeJson(w);
+    frontend.verbMetrics().writeJson(w);
 
     w.key("shards").beginArray();
     for (const ShardManager::ShardInfo &info : shards_->snapshot()) {

@@ -33,27 +33,27 @@
  * Control verbs: `health` and `stats` describe the tree (per-shard
  * pid/state/restart counts — chaos tooling reads pids from here);
  * `metrics` merges the supervisor's own counters with every live
- * shard's (scraped via the counters exposition) into one document.
+ * shard's (scraped via the counters exposition) into one document,
+ * so counters both hops record, such as accepted connections and
+ * requests by verb, sum the supervisor's and the workers'.
+ *
+ * The client-facing transport (listeners, connection threads, the
+ * `drain` verb, signals) is the serve::Frontend the embedded Server
+ * uses too; this class is the handler behind it.
  */
 
 #ifndef ELAG_SERVE_SUPERVISOR_HH
 #define ELAG_SERVE_SUPERVISOR_HH
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <memory>
-#include <mutex>
-#include <set>
 #include <string>
-#include <thread>
-#include <vector>
 
 #include "serve/framing.hh"
-#include "serve/metrics.hh"
+#include "serve/frontend.hh"
 #include "serve/protocol.hh"
 #include "serve/shard.hh"
-#include "serve/socket.hh"
 
 namespace elag {
 namespace serve {
@@ -82,7 +82,6 @@ class Supervisor
 {
   public:
     explicit Supervisor(const SupervisorConfig &config);
-    ~Supervisor();
 
     Supervisor(const Supervisor &) = delete;
     Supervisor &operator=(const Supervisor &) = delete;
@@ -90,80 +89,47 @@ class Supervisor
     /** Spawn the fleet, bind listeners, start accepting. */
     void start();
 
-    /** Begin graceful drain (idempotent, any thread). */
-    void beginDrain();
-
-    bool draining() const { return draining_.load(); }
-
     /**
      * Block until drained: acceptor and connection threads joined
-     * (in-flight proxied requests completed), workers terminated and
-     * reaped, listeners closed, socket file unlinked.
+     * (in-flight proxied requests completed), listeners closed,
+     * socket file unlinked, then workers terminated and reaped.
      */
     void wait();
 
-    /** SIGTERM/SIGINT -> beginDrain via self-pipe (as Server). */
-    void installSignalHandlers();
-    static void restoreSignalHandlers();
+    /** SIGTERM/SIGINT -> beginDrain via the front end's self-pipe. */
+    void installSignalHandlers() { frontend.installSignalHandlers(); }
 
     /** The `stats` verb document (also flushed at daemon exit). */
     std::string statsJson() const;
 
-    ShardManager &shards() { return *shards_; }
-
   private:
-    void acceptLoop();
-    void serveConnection(int fd, uint64_t conn_id);
+    /** Answer one request the front end hands over. */
     std::string handle(const Request &request,
-                       const std::string &raw_payload,
-                       bool &initiate_drain);
+                       const std::string &raw_payload);
 
     /** Route + failover + quarantine for one work request. */
     std::string proxyWork(const Request &request,
                           const std::string &raw_payload);
-
-    /** How one proxied exchange ended. */
-    enum class ProxyOutcome
-    {
-        Ok,          ///< response frame received
-        ConnectFail, ///< could not connect/write (worker not there)
-        Died,        ///< stream broke mid-exchange (worker died)
-        Timeout,     ///< proxy deadline expired (worker hung)
-    };
-
-    ProxyOutcome proxyOnce(const std::string &socket_path,
-                           const std::string &raw_payload,
-                           uint64_t timeout_ms,
-                           std::string &response);
 
     /** Merged supervisor + live-shard counters, JSON or Prometheus. */
     std::string aggregateMetrics(const Request &request);
 
     SupervisorConfig cfg;
     std::unique_ptr<ShardManager> shards_;
-    ServerMetrics metrics_;
 
-    Fd unixListener;
-    Fd tcpListener;
-    Fd wakeRead, wakeWrite;
-
-    std::thread acceptor;
-    mutable std::mutex connMu;
-    std::vector<std::thread> connThreads;
-    std::set<int> activeFds;
-
-    std::atomic<bool> started_{false};
-    std::atomic<bool> draining_{false};
-    std::atomic<uint64_t> accepted_{0};
     std::atomic<uint32_t> inflight_{0};
     std::atomic<uint64_t> proxied_{0};
     std::atomic<uint64_t> retried_{0};
     std::atomic<uint64_t> rejectedOverload_{0};
-    std::atomic<uint64_t> rejectedQuarantine_{0};
     std::atomic<uint64_t> rejectedUnavailable_{0};
     std::atomic<uint64_t> rejectedDraining_{0};
-    std::chrono::steady_clock::time_point startTime_ =
-        std::chrono::steady_clock::now();
+
+    /**
+     * Last, so it is destroyed first: its destructor drains and
+     * joins every connection thread before the shard manager stops
+     * the fleet.
+     */
+    Frontend frontend;
 };
 
 } // namespace serve

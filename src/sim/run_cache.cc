@@ -11,11 +11,7 @@ namespace sim {
 
 namespace {
 
-/**
- * Registry-backed mirrors of RunCache::Stats. The struct keeps its
- * own tallies for the existing stats() API; these make the same
- * counts scrapeable through the metrics plane.
- */
+/** The cache's counts; RunCache::stats() reads them from here. */
 struct CacheCounters
 {
     obs::Counter &hits;
@@ -132,10 +128,6 @@ RunCache::run(const CompiledProgram &prog,
               uint64_t max_instructions, const Watchdog &watchdog)
 {
     if (machine.faultInjector) {
-        {
-            std::lock_guard<std::mutex> lock(mu);
-            ++stats_.bypasses;
-        }
         CacheCounters::instance().bypasses.inc();
         return runTimed(prog, machine, max_instructions, {}, watchdog);
     }
@@ -158,10 +150,6 @@ RunCache::runReport(const CompiledProgram &prog,
                     uint64_t max_instructions, const Watchdog &watchdog)
 {
     if (machine.faultInjector) {
-        {
-            std::lock_guard<std::mutex> lock(mu);
-            ++stats_.bypasses;
-        }
         CacheCounters::instance().bypasses.inc();
         Report report;
         report.timed = runTimed(prog, machine, max_instructions,
@@ -192,13 +180,11 @@ RunCache::lookup(uint64_t key,
         std::lock_guard<std::mutex> lock(mu);
         auto it = entries.find(key);
         if (it != entries.end()) {
-            ++stats_.hits;
             CacheCounters::instance().hits.inc();
             future = it->second.future;
             // Refresh recency.
             lru.splice(lru.begin(), lru, it->second.lruPos);
         } else {
-            ++stats_.misses;
             CacheCounters::instance().misses.inc();
             owner = true;
             gen = ++genCounter;
@@ -267,7 +253,6 @@ RunCache::evictLocked()
         }
         entries.erase(it);
         pos = lru.erase(pos);
-        ++stats_.evictions;
         CacheCounters::instance().evictions.inc();
     }
 }
@@ -275,8 +260,9 @@ RunCache::evictLocked()
 RunCache::Stats
 RunCache::stats() const
 {
-    std::lock_guard<std::mutex> lock(mu);
-    return stats_;
+    const CacheCounters &c = CacheCounters::instance();
+    return {c.hits.value(), c.misses.value(), c.bypasses.value(),
+            c.evictions.value()};
 }
 
 size_t
@@ -308,7 +294,6 @@ RunCache::clear()
     std::lock_guard<std::mutex> lock(mu);
     entries.clear();
     lru.clear();
-    stats_ = Stats{};
 }
 
 } // namespace sim

@@ -102,6 +102,10 @@ class RunCache
         uint64_t evictions = 0;
     };
 
+    /**
+     * The process-wide `elag_runcache_*` counters, which are where
+     * these counts live; clear() does not reset them.
+     */
     Stats stats() const;
 
     /** Completed + in-flight entries currently held. */
@@ -115,7 +119,7 @@ class RunCache
      */
     void setCapacity(size_t cap);
 
-    /** Drop all entries (tests). */
+    /** Drop all entries; the counts stay (tests). */
     void clear();
 
   private:
@@ -147,7 +151,6 @@ class RunCache
     std::list<uint64_t> lru;
     size_t capacity_ = kDefaultCapacity;
     uint64_t genCounter = 0;
-    Stats stats_;
 };
 
 } // namespace sim

@@ -234,6 +234,11 @@ spawnSubprocess(const std::vector<std::string> &argv,
     }
     if (pid == 0) {
         setpgid(0, 0);
+        // Default SIGTERM/SIGINT even when this process ignores them
+        // (exec keeps SIG_IGN): a drained elagd supervisor ignores
+        // both, yet still stops its workers with SIGTERM.
+        signal(SIGTERM, SIG_DFL);
+        signal(SIGINT, SIG_DFL);
         if (limits.cpuSeconds)
             setLimit(RLIMIT_CPU, limits.cpuSeconds);
         if (limits.addressSpaceBytes)

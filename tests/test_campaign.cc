@@ -2,10 +2,11 @@
  * @file
  * Campaign-runner tests: the sandboxed subprocess layer (output
  * capture, exit/signal classification, wall-clock timeout kill,
- * capture truncation, rlimit plumbing), the delta-debugging shrinker
- * (synthetic oracles plus a real deliberate-bug fault-plan list), and
- * the elag_campaign binary end-to-end — crash/hang/violation
- * taxonomy, the watchdog, worker results and their metric totals,
+ * capture truncation, rlimit plumbing, a spawned child's default
+ * SIGTERM), the delta-debugging shrinker (synthetic oracles plus a
+ * real deliberate-bug fault-plan list), and the elag_campaign binary
+ * end-to-end — crash/hang/violation taxonomy, the watchdog, worker
+ * results and their metric totals,
  * manifest and worker-checkpoint resume, flaky-then-passed retries,
  * and shrunk reproducers that still fail standalone.
  */
@@ -75,6 +76,24 @@ TEST(Subprocess, ClassifiesSignalDeath)
     ASSERT_EQ(r.status, SubprocessStatus::Signaled);
     EXPECT_EQ(r.termSignal, SIGTERM);
     EXPECT_FALSE(r.oomSuspected());
+}
+
+TEST(Subprocess, SpawnedChildStartsWithDefaultSigterm)
+{
+    // exec keeps an ignored disposition. A drained elagd supervisor
+    // ignores SIGTERM yet stops the workers it spawns with it.
+    struct sigaction ignore = {}, saved = {};
+    ignore.sa_handler = SIG_IGN;
+    sigemptyset(&ignore.sa_mask);
+    ASSERT_EQ(::sigaction(SIGTERM, &ignore, &saved), 0);
+    std::string error;
+    pid_t pid = spawnSubprocess({"/bin/sh", "-c", "kill -TERM $$; exit 3"},
+                                SpawnLimits{}, error);
+    ::sigaction(SIGTERM, &saved, nullptr);
+    ASSERT_GT(pid, 0) << error;
+    SpawnedStatus status = waitSpawned(pid, 10'000);
+    ASSERT_FALSE(status.running);
+    EXPECT_EQ(status.termSignal, SIGTERM) << "exit " << status.exitCode;
 }
 
 TEST(Subprocess, UninvitedSigkillReadsAsSuspectedOom)

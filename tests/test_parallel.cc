@@ -29,6 +29,19 @@ iota(int n)
     return v;
 }
 
+/**
+ * RunCache counts since @p start. The counters are process-wide and
+ * clear() leaves them alone, so tests compare before and after.
+ */
+sim::RunCache::Stats
+since(const sim::RunCache::Stats &start)
+{
+    sim::RunCache::Stats now = sim::RunCache::instance().stats();
+    return {now.hits - start.hits, now.misses - start.misses,
+            now.bypasses - start.bypasses,
+            now.evictions - start.evictions};
+}
+
 } // namespace
 
 TEST(Parallel, ResultsKeepInputOrder)
@@ -153,6 +166,7 @@ TEST(RunCache, HitsAndMissesAndDeterminism)
     setQuiet(true);
     auto &cache = sim::RunCache::instance();
     cache.clear();
+    auto start = cache.stats();
 
     auto prog = sim::compile(R"(
         int arr[64];
@@ -166,30 +180,36 @@ TEST(RunCache, HitsAndMissesAndDeterminism)
     auto cfg = pipeline::MachineConfig::proposed();
 
     auto r1 = cache.run(prog, cfg, 1'000'000);
-    EXPECT_EQ(cache.stats().misses, 1u);
-    EXPECT_EQ(cache.stats().hits, 0u);
+    EXPECT_EQ(since(start).misses, 1u);
+    EXPECT_EQ(since(start).hits, 0u);
 
     auto r2 = cache.run(prog, cfg, 1'000'000);
-    EXPECT_EQ(cache.stats().misses, 1u);
-    EXPECT_EQ(cache.stats().hits, 1u);
+    EXPECT_EQ(since(start).misses, 1u);
+    EXPECT_EQ(since(start).hits, 1u);
     EXPECT_EQ(r1.pipe.cycles, r2.pipe.cycles);
     EXPECT_EQ(r1.emulation.output, r2.emulation.output);
 
     // A different machine configuration is a different key.
     auto r3 = cache.run(prog, pipeline::MachineConfig::baseline(),
                         1'000'000);
-    EXPECT_EQ(cache.stats().misses, 2u);
+    EXPECT_EQ(since(start).misses, 2u);
     EXPECT_NE(r3.pipe.cycles, 0u);
 
     // A different instruction cap is a different key.
     cache.run(prog, cfg, 2'000'000);
-    EXPECT_EQ(cache.stats().misses, 3u);
+    EXPECT_EQ(since(start).misses, 3u);
 
     // The cached result equals an uncached simulation.
     auto direct = sim::runTimed(prog, cfg, 1'000'000);
     EXPECT_EQ(direct.pipe.cycles, r1.pipe.cycles);
     EXPECT_EQ(direct.pipe.instructions, r1.pipe.instructions);
+
+    // clear() drops entries; the counts live in the registry and stay.
+    auto end = cache.stats();
     cache.clear();
+    EXPECT_EQ(cache.size(), 0u);
+    EXPECT_EQ(cache.stats().misses, end.misses);
+    EXPECT_EQ(cache.stats().hits, end.hits);
 }
 
 TEST(RunCache, ConcurrentMissesSimulateOnce)
@@ -197,6 +217,7 @@ TEST(RunCache, ConcurrentMissesSimulateOnce)
     setQuiet(true);
     auto &cache = sim::RunCache::instance();
     cache.clear();
+    auto start = cache.stats();
     auto prog = sim::compile(R"(
         int main() {
             int t = 0;
@@ -214,8 +235,8 @@ TEST(RunCache, ConcurrentMissesSimulateOnce)
         });
     for (size_t i = 1; i < cycles.size(); ++i)
         EXPECT_EQ(cycles[i], cycles[0]);
-    EXPECT_EQ(cache.stats().misses, 1u);
-    EXPECT_EQ(cache.stats().hits, 7u);
+    EXPECT_EQ(since(start).misses, 1u);
+    EXPECT_EQ(since(start).hits, 7u);
     cache.clear();
 }
 
@@ -224,6 +245,7 @@ TEST(RunCache, BoundedWithLruEviction)
     setQuiet(true);
     auto &cache = sim::RunCache::instance();
     cache.clear();
+    auto start = cache.stats();
     size_t saved_capacity = cache.capacity();
     cache.setCapacity(2);
 
@@ -234,13 +256,13 @@ TEST(RunCache, BoundedWithLruEviction)
     cache.run(prog, cfg, 1'000'000); // A
     cache.run(prog, cfg, 2'000'000); // B
     EXPECT_EQ(cache.size(), 2u);
-    EXPECT_EQ(cache.stats().evictions, 0u);
+    EXPECT_EQ(since(start).evictions, 0u);
 
     // Touch A so B is the LRU victim.
     cache.run(prog, cfg, 1'000'000);
     cache.run(prog, cfg, 3'000'000); // C evicts B
     EXPECT_EQ(cache.size(), 2u);
-    EXPECT_EQ(cache.stats().evictions, 1u);
+    EXPECT_EQ(since(start).evictions, 1u);
 
     // A stayed resident (hit); B was evicted (miss again).
     auto before = cache.stats();
@@ -258,6 +280,7 @@ TEST(RunCache, ShrinkingCapacityEvictsDown)
     setQuiet(true);
     auto &cache = sim::RunCache::instance();
     cache.clear();
+    auto start = cache.stats();
     size_t saved_capacity = cache.capacity();
 
     auto prog = sim::compile("int main() { print(9); return 0; }");
@@ -268,7 +291,7 @@ TEST(RunCache, ShrinkingCapacityEvictsDown)
 
     cache.setCapacity(1);
     EXPECT_EQ(cache.size(), 1u);
-    EXPECT_EQ(cache.stats().evictions, 3u);
+    EXPECT_EQ(since(start).evictions, 3u);
 
     // The survivor is the most recently used key.
     auto before = cache.stats();
@@ -284,6 +307,7 @@ TEST(RunCache, ReportEntriesCacheTelemetryToo)
     setQuiet(true);
     auto &cache = sim::RunCache::instance();
     cache.clear();
+    auto start = cache.stats();
 
     auto prog = sim::compile(R"(
         int arr[32];
@@ -299,16 +323,16 @@ TEST(RunCache, ReportEntriesCacheTelemetryToo)
     auto r1 = cache.runReport(prog, cfg, 1'000'000);
     // Telemetry-observed entries use a distinct key from plain runs,
     // so the bench hot path never pays for observers.
-    EXPECT_EQ(cache.stats().misses, 1u);
+    EXPECT_EQ(since(start).misses, 1u);
     auto r2 = cache.runReport(prog, cfg, 1'000'000);
-    EXPECT_EQ(cache.stats().hits, 1u);
+    EXPECT_EQ(since(start).hits, 1u);
     EXPECT_EQ(r1.timed.pipe.cycles, r2.timed.pipe.cycles);
     EXPECT_EQ(r1.telemetry.loads().size(),
               r2.telemetry.loads().size());
     EXPECT_FALSE(r1.telemetry.loads().empty());
 
     cache.run(prog, cfg, 1'000'000);
-    EXPECT_EQ(cache.stats().misses, 2u);
+    EXPECT_EQ(since(start).misses, 2u);
     cache.clear();
 }
 
@@ -317,12 +341,13 @@ TEST(RunCache, ProgramContentChangesKey)
     setQuiet(true);
     auto &cache = sim::RunCache::instance();
     cache.clear();
+    auto start = cache.stats();
     auto prog1 = sim::compile("int main() { print(1); return 0; }");
     auto prog2 = sim::compile("int main() { print(2); return 0; }");
     auto cfg = pipeline::MachineConfig::baseline();
     auto r1 = cache.run(prog1, cfg, 1'000'000);
     auto r2 = cache.run(prog2, cfg, 1'000'000);
-    EXPECT_EQ(cache.stats().misses, 2u);
+    EXPECT_EQ(since(start).misses, 2u);
     ASSERT_EQ(r1.emulation.output.size(), 1u);
     ASSERT_EQ(r2.emulation.output.size(), 1u);
     EXPECT_EQ(r1.emulation.output[0], 1);

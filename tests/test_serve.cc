@@ -8,7 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -113,6 +115,46 @@ awaitStat(Client &client, const std::string &key, uint64_t want,
         std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
     return false;
+}
+
+/** The value of the stats document's uint member @p key. */
+uint64_t
+statValue(Client &client, const std::string &key)
+{
+    Request stats;
+    stats.verb = "stats";
+    Response response = client.call(stats);
+    EXPECT_TRUE(response.ok);
+    uint64_t value = 0;
+    EXPECT_TRUE(jsonExtractUint(response.result, key, value)) << key;
+    return value;
+}
+
+/** Top-level member names of the JSON object @p doc, in order. */
+std::vector<std::string>
+memberNames(const std::string &doc)
+{
+    std::vector<std::string> names;
+    int depth = 0;
+    for (size_t i = 0; i < doc.size(); ++i) {
+        char c = doc[i];
+        if (c == '{' || c == '[') {
+            ++depth;
+        } else if (c == '}' || c == ']') {
+            --depth;
+        } else if (c == '"') {
+            size_t end = i + 1;
+            while (end < doc.size() && doc[end] != '"')
+                end += doc[end] == '\\' ? 2 : 1;
+            size_t next = doc.find_first_not_of(" \n", end + 1);
+            if (depth == 1 && next != std::string::npos &&
+                doc[next] == ':') {
+                names.push_back(doc.substr(i + 1, end - i - 1));
+            }
+            i = end;
+        }
+    }
+    return names;
 }
 
 } // namespace
@@ -353,6 +395,7 @@ TEST(Serve, EndToEndMatchesDirectSimulation)
                       max_inst, {&telemetry});
     std::string expected = sim::statsReportJson(
         "<request>", "proposed", "", prog, base, timed, telemetry);
+    uint64_t hits_before = sim::RunCache::instance().stats().hits;
 
     // Concurrent clients, each its own connection; every response
     // must be byte-identical to the direct run.
@@ -379,8 +422,7 @@ TEST(Serve, EndToEndMatchesDirectSimulation)
     EXPECT_EQ(matched.load(), 12);
 
     // Repeated identical workloads must have hit the run cache.
-    auto cache_stats = sim::RunCache::instance().stats();
-    EXPECT_GT(cache_stats.hits, 0u);
+    EXPECT_GT(sim::RunCache::instance().stats().hits, hits_before);
 
     server.beginDrain();
     server.wait();
@@ -456,6 +498,8 @@ TEST(Serve, OverloadRejectsAtFullQueueDepth)
     server.start();
 
     Client control = Client::connectTo(config.socketPath);
+    uint64_t overloaded_before =
+        statValue(control, "rejected_overload");
 
     // Distinct max_inst values keep the slow runs out of each
     // other's cache entries.
@@ -486,14 +530,8 @@ TEST(Serve, OverloadRejectsAtFullQueueDepth)
     first.join();
     second.join();
 
-    Request stats;
-    stats.verb = "stats";
-    Response response = control.call(stats);
-    ASSERT_TRUE(response.ok);
-    uint64_t overloaded = 0;
-    ASSERT_TRUE(jsonExtractUint(response.result, "rejected_overload",
-                                overloaded));
-    EXPECT_EQ(overloaded, 1u);
+    EXPECT_EQ(statValue(control, "rejected_overload"),
+              overloaded_before + 1);
 
     server.beginDrain();
     server.wait();
@@ -568,7 +606,7 @@ TEST(Serve, SigtermDrainsGracefully)
 
     ::raise(SIGTERM);
     server.wait();
-    Server::restoreSignalHandlers();
+    Frontend::restoreSignalHandlers();
     EXPECT_TRUE(server.draining());
 }
 
@@ -589,6 +627,7 @@ TEST(Serve, LoadGenClosedLoopAggregates)
     loadgen.clients = 4;
     loadgen.requests = 4;
     loadgen.request = simulateRequest(kTinyProgram);
+    uint64_t hits_before = sim::RunCache::instance().stats().hits;
     LoadGenReport report = runLoadGen(loadgen);
 
     EXPECT_EQ(report.attempted, 16u);
@@ -601,7 +640,7 @@ TEST(Serve, LoadGenClosedLoopAggregates)
     EXPECT_GE(report.minUs, 1u);
 
     // Same workload 16 times: the run cache must have been hit.
-    EXPECT_GT(sim::RunCache::instance().stats().hits, 0u);
+    EXPECT_GT(sim::RunCache::instance().stats().hits, hits_before);
 
     server.beginDrain();
     server.wait();
@@ -696,8 +735,52 @@ TEST(Serve, StatsCarriesUptimeAndBuildInfo)
     EXPECT_TRUE(jsonExtractString(build, "version", version));
     EXPECT_FALSE(version.empty());
 
+    // The document's shape is an interface (CI and perfbench read
+    // it): pin the member order of the document and its blocks.
+    using Names = std::vector<std::string>;
+    EXPECT_EQ(memberNames(response.result),
+              (Names{"server", "build", "queue", "verbs", "run_cache"}));
+    std::string block;
+    ASSERT_TRUE(jsonExtractRaw(response.result, "server", block));
+    EXPECT_EQ(memberNames(block),
+              (Names{"draining", "accepted", "active_connections",
+                     "uptime_seconds"}));
+    ASSERT_TRUE(jsonExtractRaw(response.result, "queue", block));
+    EXPECT_EQ(memberNames(block),
+              (Names{"depth", "backlog", "executing", "admitted",
+                     "rejected_overload", "rejected_draining",
+                     "completed"}));
+    ASSERT_TRUE(jsonExtractRaw(response.result, "run_cache", block));
+    EXPECT_EQ(memberNames(block),
+              (Names{"hits", "misses", "bypasses", "evictions",
+                     "entries", "capacity"}));
+
     server.beginDrain();
     server.wait();
+}
+
+TEST(Serve, FailedStartLeavesNoSocketFile)
+{
+    setQuiet(true);
+    // Hold a loopback port so the server's TCP bind must fail.
+    Fd busy = listenTcpLoopback(0);
+    sockaddr_in addr = {};
+    socklen_t len = sizeof(addr);
+    ASSERT_EQ(::getsockname(busy.get(),
+                            reinterpret_cast<sockaddr *>(&addr), &len),
+              0);
+
+    parallel::ThreadPool pool(1);
+    ServerConfig config;
+    config.socketPath = testSocketPath();
+    config.tcpPort = ntohs(addr.sin_port);
+    config.pool = &pool;
+    Server server(config);
+    EXPECT_THROW(server.start(), FatalError);
+    // A socket file left behind would fool a `[ -S path ]` probe.
+    struct stat st;
+    EXPECT_NE(::stat(config.socketPath.c_str(), &st), 0)
+        << config.socketPath << " outlived a failed start";
 }
 
 #ifndef ELAG_NO_SPANS

@@ -7,7 +7,9 @@
  * supervisor, requests keep completing byte-identical to direct
  * simulation, poison requests are quarantined, and a full daemon
  * restart serves previously computed results from the persistent
- * cache.
+ * cache. The binary's front end is tested in both modes too: the
+ * supervisor's stats shape, oversized frames and SIGTERM drain,
+ * signals that arrive after a drain, and a failed start.
  */
 
 #include <gtest/gtest.h>
@@ -16,21 +18,29 @@
 #include <atomic>
 #include <chrono>
 #include <csignal>
+#include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <functional>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include "cache/persistent_store.hh"
 #include "pipeline/telemetry.hh"
 #include "serve/client.hh"
+#include "serve/framing.hh"
 #include "serve/protocol.hh"
 #include "serve/routing.hh"
 #include "serve/server.hh"
 #include "serve/shard.hh"
+#include "serve/socket.hh"
 #include "sim/run_cache.hh"
 #include "sim/simulator.hh"
 #include "support/json.hh"
@@ -469,6 +479,49 @@ awaitWorkOk(Client &client, const Request &request,
     }
 }
 
+/** Top-level member names of the JSON object @p doc, in order. */
+std::vector<std::string>
+memberNames(const std::string &doc)
+{
+    std::vector<std::string> names;
+    int depth = 0;
+    for (size_t i = 0; i < doc.size(); ++i) {
+        char c = doc[i];
+        if (c == '{' || c == '[') {
+            ++depth;
+        } else if (c == '}' || c == ']') {
+            --depth;
+        } else if (c == '"') {
+            size_t end = i + 1;
+            while (end < doc.size() && doc[end] != '"')
+                end += doc[end] == '\\' ? 2 : 1;
+            size_t next = doc.find_first_not_of(" \n", end + 1);
+            if (depth == 1 && next != std::string::npos &&
+                doc[next] == ':') {
+                names.push_back(doc.substr(i + 1, end - i - 1));
+            }
+            i = end;
+        }
+    }
+    return names;
+}
+
+bool
+pathExists(const std::string &path)
+{
+    struct stat st;
+    return ::stat(path.c_str(), &st) == 0;
+}
+
+std::string
+readFile(const std::string &path)
+{
+    std::ifstream in(path);
+    std::stringstream text;
+    text << in.rdbuf();
+    return text.str();
+}
+
 } // namespace
 
 TEST(ShardE2E, SigkilledWorkerNeverTakesDownService)
@@ -633,6 +686,140 @@ TEST(ShardE2E, DaemonRestartServesFromPersistentCache)
     EXPECT_EQ(hits, 1u);
 
     daemon.drain(control);
+}
+
+TEST(ShardE2E, SupervisorStatsOversizedFrameAndSigterm)
+{
+    setQuiet(true);
+    std::string socket = testSocketPath();
+    Daemon daemon({ELAG_ELAGD_BIN, "--socket=" + socket,
+                   "--shards=2", "--quiet"});
+    Client control = awaitDaemon(socket);
+    ASSERT_TRUE(awaitDoc(control, "health", [](const std::string &d) {
+        return liveShards(d, 2);
+    }));
+
+    // The stats document's shape is an interface: pin member order.
+    Request stats;
+    stats.verb = "stats";
+    Response response = control.call(stats);
+    ASSERT_TRUE(response.ok);
+    using Names = std::vector<std::string>;
+    EXPECT_EQ(memberNames(response.result),
+              (Names{"server", "build", "proxy", "verbs", "shards",
+                     "quarantine"}));
+    std::string server;
+    ASSERT_TRUE(jsonExtractRaw(response.result, "server", server));
+    EXPECT_EQ(memberNames(server),
+              (Names{"role", "draining", "accepted",
+                     "active_connections", "uptime_seconds"}));
+
+    // An oversized frame header: a typed bad_request frame, then EOF
+    // (the stream cannot be resynchronized).
+    {
+        Fd conn = connectUnix(socket);
+        const uint8_t header[4] = {0xff, 0xff, 0xff, 0xff};
+        ASSERT_TRUE(writeFull(conn.get(), header, sizeof(header)));
+        std::string payload;
+        ASSERT_EQ(readFrame(conn.get(), payload), FrameStatus::Ok);
+        Response rejected;
+        std::string error;
+        ASSERT_TRUE(parseResponse(payload, rejected, error)) << error;
+        EXPECT_FALSE(rejected.ok);
+        EXPECT_EQ(rejected.errorType, errtype::BadRequest);
+        EXPECT_EQ(readFrame(conn.get(), payload), FrameStatus::Eof);
+    }
+
+    // SIGTERM drains the whole tree: exit 0, the client socket is
+    // unlinked, and no worker outlives its supervisor.
+    std::vector<pid_t> pids = shardPids(control);
+    ASSERT_EQ(pids.size(), 2u);
+    ASSERT_EQ(::kill(daemon.pid, SIGTERM), 0);
+    SpawnedStatus status = waitSpawned(daemon.pid, 20'000);
+    ASSERT_FALSE(status.running);
+    daemon.pid = -1;
+    EXPECT_EQ(status.exitCode, 0);
+    EXPECT_FALSE(pathExists(socket));
+    for (pid_t pid : pids)
+        EXPECT_NE(::kill(pid, 0), 0) << "shard pid " << pid;
+}
+
+TEST(ShardE2E, SigtermAfterDrainStillExitsZero)
+{
+    setQuiet(true);
+    std::string expected = directSimulation(kArrayProgram);
+    for (const char *mode : {"", "--shards=1"}) {
+        SCOPED_TRACE(*mode ? mode : "embedded");
+        std::string socket = testSocketPath();
+        std::string stem = uniqueCacheDir("late-sigterm");
+        std::string exitDoc = stem + ".exit.json";
+        // The shell only redirects stdout: exec keeps the pid, so
+        // the signals below reach elagd itself.
+        Daemon daemon({"/bin/sh", "-c",
+                       formatString("exec %s --socket=%s --quiet "
+                                    "--trace-out=%s.trace.json %s "
+                                    "> %s",
+                                    ELAG_ELAGD_BIN, socket.c_str(),
+                                    stem.c_str(), mode,
+                                    exitDoc.c_str())});
+        Client client = awaitDaemon(socket);
+        for (int i = 0; i < 3; ++i) {
+            Response response =
+                awaitWorkOk(client, workRequest(kArrayProgram));
+            ASSERT_TRUE(response.ok) << response.errorMessage;
+            EXPECT_EQ(response.result, expected);
+        }
+        Request drain;
+        drain.verb = "drain";
+        ASSERT_TRUE(client.call(drain).ok);
+
+        // What a scripted stop does: `drain`, then `kill -TERM`. A
+        // late signal must not cut the span flush or the exit
+        // document short, so keep signalling until the daemon exits.
+        SpawnedStatus status;
+        auto deadline =
+            std::chrono::steady_clock::now() + std::chrono::seconds(30);
+        for (;;) {
+            ::kill(daemon.pid, SIGTERM);
+            status = pollSpawned(daemon.pid);
+            if (!status.running ||
+                std::chrono::steady_clock::now() > deadline) {
+                break;
+            }
+            std::this_thread::sleep_for(std::chrono::microseconds(100));
+        }
+        ASSERT_FALSE(status.running) << "elagd ignored drain";
+        daemon.pid = -1;
+        EXPECT_EQ(status.termSignal, 0);
+        EXPECT_EQ(status.exitCode, 0);
+        EXPECT_TRUE(jsonValid(readFile(exitDoc))) << readFile(exitDoc);
+        std::remove(exitDoc.c_str());
+        std::remove((stem + ".trace.json").c_str());
+    }
+}
+
+TEST(ShardE2E, FailedStartLeavesNoSocketFile)
+{
+    // Hold a loopback port so the supervisor's TCP bind must fail.
+    Fd busy = listenTcpLoopback(0);
+    sockaddr_in addr = {};
+    socklen_t len = sizeof(addr);
+    ASSERT_EQ(::getsockname(busy.get(),
+                            reinterpret_cast<sockaddr *>(&addr), &len),
+              0);
+    std::string socket = testSocketPath();
+    SubprocessLimits limits;
+    limits.wallTimeoutMs = 60'000;
+    auto r = runSubprocess(
+        {ELAG_ELAGD_BIN, "--socket=" + socket,
+         formatString("--tcp-port=%u", ntohs(addr.sin_port)),
+         "--shards=1", "--quiet"},
+        limits);
+    ASSERT_EQ(r.status, SubprocessStatus::Exited)
+        << describeSubprocessResult(r);
+    EXPECT_EQ(r.exitCode, 1) << r.err;
+    // A socket file left behind would fool a `[ -S path ]` probe.
+    EXPECT_FALSE(pathExists(socket)) << socket;
 }
 
 TEST(ShardE2E, MalformedFlagsAreUsageErrors)

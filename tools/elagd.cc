@@ -29,7 +29,8 @@
  *
  * SIGTERM/SIGINT (or a `drain` request) drains gracefully: stop
  * accepting, finish in-flight requests, flush the stats document to
- * stdout, exit 0.
+ * stdout, exit 0. Once drained, further SIGTERM/SIGINT are ignored,
+ * so `drain` followed by `kill -TERM` still exits 0.
  *
  * Exit codes: 0 graceful drain, 1 startup failure (FatalError),
  * 2 usage.
@@ -287,7 +288,6 @@ runServer(const Options &opts)
            config.queueDepth, parallel::jobs());
 
     server.wait();
-    serve::Server::restoreSignalHandlers();
     obs::SpanTracer::process().flush();
 
     if (!opts.shardWorker) {
@@ -375,7 +375,6 @@ runSupervisor(const Options &opts)
            opts.queueDepth);
 
     supervisor.wait();
-    serve::Supervisor::restoreSignalHandlers();
     obs::SpanTracer::process().flush();
 
     std::fputs(supervisor.statsJson().c_str(), stdout);
