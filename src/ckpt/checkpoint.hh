@@ -42,8 +42,12 @@
 namespace elag {
 namespace ckpt {
 
-/** Current container format version. */
-constexpr uint32_t kFormatVersion = 1;
+/**
+ * Current container format version. Version 2 dropped the cached
+ * value, lookup count and hit count from the register-cache section;
+ * a version-1 file reads as VersionMismatch.
+ */
+constexpr uint32_t kFormatVersion = 2;
 
 /** Section tag from a 4-character literal, e.g. tag("META"). */
 constexpr uint32_t

@@ -270,23 +270,5 @@ negateCond(CondCode cc)
     }
 }
 
-CondCode
-swapCond(CondCode cc)
-{
-    switch (cc) {
-      case CondCode::Eq: return CondCode::Eq;
-      case CondCode::Ne: return CondCode::Ne;
-      case CondCode::Lt: return CondCode::Gt;
-      case CondCode::Gt: return CondCode::Lt;
-      case CondCode::Le: return CondCode::Ge;
-      case CondCode::Ge: return CondCode::Le;
-      case CondCode::LtU:
-      case CondCode::GeU:
-        panic("swapCond: unsigned conditions not swappable here");
-      default:
-        panic("swapCond: bad cond");
-    }
-}
-
 } // namespace ir
 } // namespace elag

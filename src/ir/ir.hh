@@ -149,7 +149,10 @@ class BasicBlock
     std::vector<BasicBlock *> preds;
     std::vector<BasicBlock *> succs;
 
-    /** @return the terminator, or null if the block is unterminated. */
+    /**
+     * @return the terminator, or null if the block is unterminated.
+     * The const twin of the accessor below; no caller needs it yet.
+     */
     const IrInst *terminator() const;
     IrInst *terminator();
 
@@ -253,8 +256,6 @@ std::string irOpcodeName(IrOpcode op);
 std::string condCodeName(CondCode cc);
 /** Logical negation of a condition code. */
 CondCode negateCond(CondCode cc);
-/** Condition with swapped operands (lt -> gt, etc.). */
-CondCode swapCond(CondCode cc);
 
 } // namespace ir
 } // namespace elag

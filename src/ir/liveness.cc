@@ -1,6 +1,5 @@
 #include "ir/liveness.hh"
 
-#include <algorithm>
 
 namespace elag {
 namespace ir {
@@ -65,13 +64,6 @@ Liveness::liveOut(const BasicBlock *bb) const
 {
     auto it = liveOuts.find(bb);
     return it == liveOuts.end() ? empty : it->second;
-}
-
-bool
-Liveness::isParamLike(int vreg, const Function &fn)
-{
-    return std::find(fn.params.begin(), fn.params.end(), vreg) !=
-           fn.params.end();
 }
 
 } // namespace ir

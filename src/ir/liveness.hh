@@ -24,9 +24,6 @@ class Liveness
     const std::set<int> &liveIn(const BasicBlock *bb) const;
     const std::set<int> &liveOut(const BasicBlock *bb) const;
 
-    /** @return true if @p vreg is live out of the whole function. */
-    static bool isParamLike(int vreg, const Function &fn);
-
   private:
     std::map<const BasicBlock *, std::set<int>> liveIns;
     std::map<const BasicBlock *, std::set<int>> liveOuts;

@@ -114,15 +114,5 @@ toString(const Function &fn)
     return out;
 }
 
-std::string
-toString(const Module &mod)
-{
-    std::string out =
-        formatString("module: %d global bytes\n", mod.globalSize);
-    for (const auto &fn : mod.functions)
-        out += toString(*fn) + "\n";
-    return out;
-}
-
 } // namespace ir
 } // namespace elag

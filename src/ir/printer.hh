@@ -16,11 +16,8 @@ namespace ir {
 /** Render one instruction, e.g. "v3 = load [v1 + 4] (ld_p)". */
 std::string toString(const IrInst &inst);
 
-/** Render a function with block labels. */
+/** Render a function with block labels (tests use it). */
 std::string toString(const Function &fn);
-
-/** Render the whole module. */
-std::string toString(const Module &mod);
 
 } // namespace ir
 } // namespace elag

@@ -13,20 +13,6 @@ MachineProgram::heapBase() const
     return (base + 7u) & ~7u;
 }
 
-std::string
-MachineProgram::symbolAt(uint32_t pc) const
-{
-    std::string best;
-    uint32_t best_pc = 0;
-    for (const auto &kv : symbols) {
-        if (kv.second <= pc && (best.empty() || kv.second >= best_pc)) {
-            best = kv.first;
-            best_pc = kv.second;
-        }
-    }
-    return best;
-}
-
 void
 MachineProgram::verify() const
 {

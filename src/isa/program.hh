@@ -46,9 +46,6 @@ struct MachineProgram
     /** @return byte address where the heap begins. */
     uint32_t heapBase() const;
 
-    /** @return name of the function containing @p pc ("" if none). */
-    std::string symbolAt(uint32_t pc) const;
-
     /**
      * Validate internal consistency: branch targets in range,
      * register indices legal, entry in range.

@@ -38,12 +38,6 @@ Cache::findLine(uint32_t addr)
     return nullptr;
 }
 
-const Cache::Line *
-Cache::findLine(uint32_t addr) const
-{
-    return const_cast<Cache *>(this)->findLine(addr);
-}
-
 CacheAccessResult
 Cache::access(uint32_t addr, uint64_t cycle, bool allocate_on_miss,
               uint32_t extra_penalty)
@@ -89,21 +83,6 @@ Cache::access(uint32_t addr, uint64_t cycle, bool allocate_on_miss,
         victim->fillDone = result.readyCycle;
     }
     return result;
-}
-
-bool
-Cache::wouldHit(uint32_t addr, uint64_t cycle) const
-{
-    const Line *line = findLine(addr);
-    return line && line->fillDone <= cycle;
-}
-
-void
-Cache::reset()
-{
-    for (auto &line : lines)
-        line = Line();
-    numHits = numMisses = numMerges = 0;
 }
 
 Btb::Btb(uint32_t num_entries)
@@ -153,13 +132,6 @@ Btb::update(uint32_t pc, bool taken, uint32_t target)
     } else if (entry.counter > 0) {
         --entry.counter;
     }
-}
-
-void
-Btb::reset()
-{
-    for (auto &entry : table)
-        entry = Entry();
 }
 
 void

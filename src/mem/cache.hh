@@ -69,18 +69,12 @@ class Cache
                              bool allocate_on_miss = true,
                              uint32_t extra_penalty = 0);
 
-    /** @return true if @p addr would hit right now (no state change,
-     *  in-flight fills count as hits only once complete). */
-    bool wouldHit(uint32_t addr, uint64_t cycle) const;
-
     const CacheConfig &config() const { return cfg; }
 
     // Statistics.
     uint64_t hits() const { return numHits; }
     uint64_t misses() const { return numMisses; }
     uint64_t fillMerges() const { return numMerges; }
-
-    void reset();
 
     /**
      * Checkpoint every line (valid/tag/LRU stamp/fill cycle) plus
@@ -117,7 +111,6 @@ class Cache
         return pow2Geometry ? block >> setShift : block / numSets;
     }
     Line *findLine(uint32_t addr);
-    const Line *findLine(uint32_t addr) const;
 
     CacheConfig cfg;
     uint32_t numSets;
@@ -152,8 +145,6 @@ class Btb
 
     /** Train with the resolved outcome. */
     void update(uint32_t pc, bool taken, uint32_t target);
-
-    void reset();
 
     /** Checkpoint every entry; geometry must match on restore. */
     void serialize(ckpt::Writer &w) const;

@@ -66,8 +66,6 @@ kindName(MetricKind kind)
     switch (kind) {
       case MetricKind::Counter:
         return "counter";
-      case MetricKind::Gauge:
-        return "gauge";
       case MetricKind::Histogram:
         return "histogram";
     }
@@ -92,15 +90,13 @@ Histogram::mean() const
 
 /**
  * One registered family: kind + help + children keyed by rendered
- * label string. Exactly one of the child maps is populated,
- * according to kind.
+ * label string. Only the child map of its kind is populated.
  */
 struct Registry::Family
 {
     MetricKind kind;
     std::string help;
     std::map<std::string, std::unique_ptr<Counter>> counters;
-    std::map<std::string, std::unique_ptr<Gauge>> gauges;
     std::map<std::string, std::unique_ptr<Histogram>> histograms;
 };
 
@@ -146,18 +142,6 @@ Registry::counter(const std::string &name, const std::string &help,
     return *slot;
 }
 
-Gauge &
-Registry::gauge(const std::string &name, const std::string &help,
-                const Labels &labels)
-{
-    std::lock_guard<std::mutex> lock(mu);
-    Family &fam = family(name, MetricKind::Gauge, help);
-    auto &slot = fam.gauges[renderLabels(labels)];
-    if (!slot)
-        slot = std::make_unique<Gauge>();
-    return *slot;
-}
-
 Histogram &
 Registry::histogram(const std::string &name, const std::string &help,
                     size_t num_buckets, uint64_t bucket_width,
@@ -181,9 +165,6 @@ Registry::writeJson(JsonWriter &w) const
         for (const auto &ckv : fam.counters)
             w.field(flatName(fkv.first, ckv.first),
                     ckv.second->value());
-        for (const auto &gkv : fam.gauges)
-            w.field(flatName(fkv.first, gkv.first),
-                    gkv.second->value());
         for (const auto &hkv : fam.histograms) {
             const Histogram &h = *hkv.second;
             w.key(flatName(fkv.first, hkv.first)).beginObject();
@@ -217,10 +198,6 @@ Registry::prometheus() const
         for (const auto &ckv : fam.counters) {
             out += flatName(name, ckv.first) + " " +
                    std::to_string(ckv.second->value()) + "\n";
-        }
-        for (const auto &gkv : fam.gauges) {
-            out += flatName(name, gkv.first) + " " +
-                   std::to_string(gkv.second->value()) + "\n";
         }
         for (const auto &hkv : fam.histograms) {
             const Histogram &h = *hkv.second;

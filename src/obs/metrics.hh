@@ -13,11 +13,10 @@
  *         "from a completed entry.");
  *     hits.inc();
  *
- * Three metric kinds, mirroring the Prometheus data model:
+ * Two metric kinds, from the Prometheus data model:
  *
  *  - Counter: monotonically increasing; lock-free (one relaxed
  *    atomic add) so it can sit on simulator hot paths.
- *  - Gauge: a settable signed level (queue depths, entry counts).
  *  - Histogram: fixed-width buckets plus overflow, every cell a
  *    relaxed atomic, for latency/size distributions.
  *
@@ -86,36 +85,6 @@ class Counter
     std::atomic<uint64_t> value_{0};
 };
 
-/** Settable signed level. */
-class Gauge
-{
-  public:
-    void
-    set(int64_t v)
-    {
-        value_.store(v, std::memory_order_relaxed);
-    }
-
-    void
-    add(int64_t n)
-    {
-        value_.fetch_add(n, std::memory_order_relaxed);
-    }
-
-    int64_t
-    value() const
-    {
-        return value_.load(std::memory_order_relaxed);
-    }
-
-    Gauge() = default;
-    Gauge(const Gauge &) = delete;
-    Gauge &operator=(const Gauge &) = delete;
-
-  private:
-    std::atomic<int64_t> value_{0};
-};
-
 /**
  * Fixed-width-bucket histogram with an overflow bucket; every cell
  * is a relaxed atomic so concurrent observers never serialize.
@@ -172,7 +141,7 @@ class Histogram
 };
 
 /** Kind tag of a registered family. */
-enum class MetricKind { Counter, Gauge, Histogram };
+enum class MetricKind { Counter, Histogram };
 
 /**
  * The registry proper: families keyed by metric name, children keyed
@@ -198,8 +167,6 @@ class Registry
      */
     Counter &counter(const std::string &name, const std::string &help,
                      const Labels &labels = {});
-    Gauge &gauge(const std::string &name, const std::string &help,
-                 const Labels &labels = {});
     Histogram &histogram(const std::string &name,
                          const std::string &help, size_t num_buckets,
                          uint64_t bucket_width,
@@ -207,7 +174,7 @@ class Registry
 
     /**
      * Serialize everything as one JSON object keyed by flat sample
-     * name (`name` or `name{label="v",...}`): counters/gauges as
+     * name (`name` or `name{label="v",...}`): counters as
      * numbers, histograms as {buckets, overflow, count, sum, mean,
      * bucket_width} objects. Families and children emit in sorted
      * order, so the document is deterministic for goldens.
@@ -246,7 +213,8 @@ class Registry
  * @return "" if @p text is a well-formed Prometheus text exposition
  * (every line a `# HELP`/`# TYPE`/`# EOF` comment or a
  * `name{labels} value` sample), else a one-line description of the
- * first offending line. Used by tests and the CI scrape check.
+ * first offending line. A test oracle: only tests call it (CI checks
+ * the served exposition with its own Python grammar).
  */
 std::string validatePrometheus(const std::string &text);
 

@@ -156,13 +156,6 @@ SpanTracer::eventCount() const
     return events.size();
 }
 
-uint64_t
-SpanTracer::droppedCount() const
-{
-    std::lock_guard<std::mutex> lock(mu);
-    return dropped_;
-}
-
 void
 SpanTracer::setProcessLabel(const std::string &label)
 {

@@ -87,11 +87,8 @@ class SpanTracer
     /** The trace-event JSON document (tests, flush). */
     std::string json() const;
 
-    /** Events recorded so far (excludes dropped ones). */
+    /** Events recorded so far, excluding dropped ones (tests). */
     uint64_t eventCount() const;
-
-    /** Events discarded after the in-memory cap was hit. */
-    uint64_t droppedCount() const;
 
     /** Process label emitted as the process_name metadata event. */
     void setProcessLabel(const std::string &label);

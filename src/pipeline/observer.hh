@@ -2,8 +2,8 @@
  * @file
  * Observer hook interface for the timing model.
  *
- * The pipeline publishes its interesting micro-events — speculative
- * dispatches, verification verdicts, forwards, stalls — to attached
+ * The pipeline publishes its load-speculation events — speculative
+ * dispatches, verification verdicts, forwards — to attached
  * observers, so tracing, per-PC telemetry and future tooling can
  * watch a run without further edits to the core model. Callbacks
  * fire in retire (program) order; with no observers attached the
@@ -88,32 +88,6 @@ name(SpecOutcome outcome)
         return "wrong_address";
       case SpecOutcome::CacheMiss:
         return "cache_miss";
-    }
-    return "?";
-}
-
-/** Causes of lost cycles attributed to a single instruction. */
-enum class StallKind : uint8_t
-{
-    IcacheMiss,      ///< fetch waited on an I$ fill
-    BranchMispredict,///< fetch redirected at EXE resolution
-    RegInterlock,    ///< issue waited on source operands
-    DcacheMiss,      ///< normal-path load waited on a D$ fill
-};
-
-/** Stable name for a stall kind. */
-constexpr const char *
-name(StallKind kind)
-{
-    switch (kind) {
-      case StallKind::IcacheMiss:
-        return "icache_miss";
-      case StallKind::BranchMispredict:
-        return "branch_mispredict";
-      case StallKind::RegInterlock:
-        return "reg_interlock";
-      case StallKind::DcacheMiss:
-        return "dcache_miss";
     }
     return "?";
 }
@@ -205,13 +179,6 @@ class Observer
               uint64_t readyCycle)
     {
         (void)ri; (void)path; (void)latency; (void)readyCycle;
-    }
-
-    /** @p ri cost the machine @p cycles stall cycles of kind @p kind. */
-    virtual void
-    onStall(const RetiredInst &ri, StallKind kind, uint64_t cycles)
-    {
-        (void)ri; (void)kind; (void)cycles;
     }
 };
 

@@ -55,16 +55,6 @@ Pipeline::attach(Observer *observer)
     }
 }
 
-void
-Pipeline::notifyStall(const RetiredInst &ri, StallKind kind,
-                      uint64_t cycles)
-{
-    if (!hasObservers_)
-        return;
-    for (Observer *o : observers)
-        o->onStall(ri, kind, cycles);
-}
-
 Pipeline::CycleUse &
 Pipeline::use(uint64_t cycle)
 {
@@ -173,7 +163,6 @@ Pipeline::fetchConstraint(const RetiredInst &ri)
         ELAG_TRACE_EVT(tcCache, f, "I$ miss pc=%u fill ready %llu",
                        ri.pc,
                        static_cast<unsigned long long>(res.readyCycle));
-        notifyStall(ri, StallKind::IcacheMiss, res.readyCycle - f);
         f = res.readyCycle;
         fetchedThisCycle = 0;
     }
@@ -436,13 +425,8 @@ Pipeline::handleLoad(const RetiredInst &ri, uint64_t e,
         // The ld_e opcode (or the hardware allocation policy) binds
         // the base register into the register cache.
         if (base > 0) {
-            uint32_t base_value =
-                (flags & isa::flag::BaseOffset)
-                    ? ca - static_cast<uint32_t>(inst.imm)
-                    : 0;
-            regCache.bind(base, base_value, id1);
-            ELAG_TRACE_EVT(tcRaddr, id1, "bind r%d=0x%x pc=%u", base,
-                           base_value, ri.pc);
+            regCache.bind(base, id1);
+            ELAG_TRACE_EVT(tcRaddr, id1, "bind r%d pc=%u", base, ri.pc);
         }
     }
 
@@ -467,9 +451,6 @@ Pipeline::handleLoad(const RetiredInst &ri, uint64_t e,
         mem::CacheAccessResult acc = dcache.access(ca, e + 1);
         ELAG_TRACE_EVT(tcCache, e + 1, "D$ access pc=%u addr=0x%x %s",
                        ri.pc, ca, acc.hit ? "hit" : "miss");
-        if (!acc.hit && acc.readyCycle > e + 1)
-            notifyStall(ri, StallKind::DcacheMiss,
-                        acc.readyCycle - (e + 1));
         ready = acc.readyCycle + 1;
     }
 
@@ -504,8 +485,6 @@ Pipeline::handleBranch(const RetiredInst &ri, uint64_t e,
             ++stats_.mispredicts;
             ELAG_TRACE_EVT(tcPipeline, e, "mispredict pc=%u -> %u",
                            ri.pc, ri.nextPc);
-            notifyStall(ri, StallKind::BranchMispredict,
-                        e + 1 - cur_fetch);
             nextFetch = e + 1;
             fetchedThisCycle = 0;
         }
@@ -531,8 +510,6 @@ Pipeline::handleBranch(const RetiredInst &ri, uint64_t e,
             nextFetch = cur_fetch + 1;
         } else {
             ++stats_.mispredicts;
-            notifyStall(ri, StallKind::BranchMispredict,
-                        e + 1 - cur_fetch);
             nextFetch = e + 1;
         }
         fetchedThisCycle = 0;
@@ -552,7 +529,6 @@ Pipeline::retire(const RetiredInst &ri)
 
     uint64_t e = fetchConstraint(ri);
     e = std::max(e, nextIssue);
-    uint64_t ready_to_issue = e;
 
     // The flag word and integer sources come predecoded (the
     // emulator's stream, or makeRetired()).
@@ -583,9 +559,6 @@ Pipeline::retire(const RetiredInst &ri)
             break;
         }
     }
-
-    if (e > ready_to_issue && hasObservers_)
-        notifyStall(ri, StallKind::RegInterlock, e - ready_to_issue);
 
     e = scheduleIssue(e, isa::flagFuClass(flags));
 
@@ -728,7 +701,12 @@ Pipeline::restore(ckpt::Reader &r)
     nextFetch = r.varint();
     fetchedThisCycle = r.i32();
     lastCompletion = r.varint();
-    finished = r.b();
+    // Snapshots are taken between retires, never after finish().
+    if (r.b()) {
+        throw ckpt::CkptError(ckpt::ErrorKind::Corrupt,
+                              "checkpoint of a finished pipeline");
+    }
+    finished = false;
 }
 
 } // namespace pipeline

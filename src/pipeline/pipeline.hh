@@ -103,10 +103,6 @@ class Pipeline
 
     /** Access to the hardware structures (for tests). */
     const predict::AddressTable &addressTable() const { return table; }
-    const predict::RegisterCache &registerCache() const
-    {
-        return regCache;
-    }
 
     /**
      * Checkpoint the complete timing state: aggregate stats, caches,
@@ -164,8 +160,6 @@ class Pipeline
                         uint16_t flags);
     void handleBranch(const RetiredInst &ri, uint64_t e,
                       uint16_t flags);
-    void notifyStall(const RetiredInst &ri, StallKind kind,
-                     uint64_t cycles);
 
     MachineConfig cfg;
     PipelineStats stats_;

@@ -76,7 +76,7 @@ class LoadTelemetry : public Observer
         return loads_;
     }
 
-    /** Total executed loads across all sites. */
+    /** Total executed loads across all sites (tests). */
     uint64_t totalExecuted() const;
 
     void reset() { loads_.clear(); }

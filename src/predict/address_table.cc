@@ -70,15 +70,6 @@ AddressTable::update(uint32_t pc, uint32_t ca)
 }
 
 void
-AddressTable::reset()
-{
-    for (auto &entry : table)
-        entry = Entry();
-    confHist.reset();
-    numProbes = numProbeHits = numReplacements = 0;
-}
-
-void
 AddressTable::serialize(ckpt::Writer &w) const
 {
     w.varint(table.size());

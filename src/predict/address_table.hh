@@ -88,8 +88,6 @@ class AddressTable
         faults = injector;
     }
 
-    void reset();
-
     /**
      * Checkpoint every entry (tag + full stride-FSM state), the
      * confidence histogram, and the probe/replacement tallies. The

@@ -51,13 +51,5 @@ AddressProfiler::totalExecutions() const
     return total;
 }
 
-void
-AddressProfiler::reset()
-{
-    loads.clear();
-    cached.clear();
-    cacheStale = false;
-}
-
 } // namespace predict
 } // namespace elag

@@ -32,10 +32,8 @@ class AddressProfiler
     /** Profile keyed by load id (executions and correct counts). */
     const classify::AddressProfile &profile() const;
 
-    /** Dynamic executions across all loads. */
+    /** Dynamic executions across all loads (tests). */
     uint64_t totalExecutions() const;
-
-    void reset();
 
   private:
     struct PerLoad

@@ -7,26 +7,23 @@ namespace elag {
 namespace predict {
 
 RegisterCache::RegisterCache(uint32_t capacity)
-    : cap(capacity), slots(capacity)
+    : slots(capacity)
 {
     elag_assert(capacity > 0);
 }
 
-std::optional<uint32_t>
-RegisterCache::lookup(int reg) const
+bool
+RegisterCache::isBound(int reg) const
 {
-    ++numLookups;
     for (const Slot &slot : slots) {
-        if (slot.valid && slot.reg == reg) {
-            ++numHits;
-            return slot.value;
-        }
+        if (slot.valid && slot.reg == reg)
+            return true;
     }
-    return std::nullopt;
+    return false;
 }
 
 void
-RegisterCache::bind(int reg, uint32_t value, uint64_t cycle)
+RegisterCache::bind(int reg, uint64_t cycle)
 {
     ++tick;
     ++numBindings;
@@ -36,7 +33,6 @@ RegisterCache::bind(int reg, uint32_t value, uint64_t cycle)
             // Rebinding the same register ends the old binding.
             if (cycle > slot.boundCycle)
                 lifeHist.sample(cycle - slot.boundCycle);
-            slot.value = value;
             slot.lastUsed = tick;
             slot.boundCycle = cycle;
             return;
@@ -55,18 +51,8 @@ RegisterCache::bind(int reg, uint32_t value, uint64_t cycle)
         lifeHist.sample(cycle - victim->boundCycle);
     victim->valid = true;
     victim->reg = reg;
-    victim->value = value;
     victim->lastUsed = tick;
     victim->boundCycle = cycle;
-}
-
-void
-RegisterCache::onRegisterWrite(int reg, uint32_t value)
-{
-    for (Slot &slot : slots) {
-        if (slot.valid && slot.reg == reg)
-            slot.value = value;
-    }
 }
 
 void
@@ -82,30 +68,17 @@ RegisterCache::invalidate(int reg, uint64_t cycle)
 }
 
 void
-RegisterCache::reset()
-{
-    for (Slot &slot : slots)
-        slot = Slot();
-    lifeHist.reset();
-    tick = 0;
-    numLookups = numHits = numBindings = 0;
-}
-
-void
 RegisterCache::serialize(ckpt::Writer &w) const
 {
     w.varint(slots.size());
     for (const Slot &slot : slots) {
         w.b(slot.valid);
         w.i32(slot.reg);
-        w.varint(slot.value);
         w.varint(slot.lastUsed);
         w.varint(slot.boundCycle);
     }
     ckpt::serialize(w, lifeHist);
     w.varint(tick);
-    w.varint(numLookups);
-    w.varint(numHits);
     w.varint(numBindings);
 }
 
@@ -122,14 +95,11 @@ RegisterCache::restore(ckpt::Reader &r)
     for (Slot &slot : slots) {
         slot.valid = r.b();
         slot.reg = r.i32();
-        slot.value = static_cast<uint32_t>(r.varint());
         slot.lastUsed = r.varint();
         slot.boundCycle = r.varint();
     }
     ckpt::restore(r, lifeHist);
     tick = r.varint();
-    numLookups = r.varint();
-    numHits = r.varint();
     numBindings = r.varint();
 }
 

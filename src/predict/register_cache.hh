@@ -4,17 +4,21 @@
  *
  * With capacity 1 this is the paper's special addressing register
  * R_addr (Section 3.2.1): the ld_e opcode binds one general-purpose
- * register; only that register's value is buffered, so no predecode
- * or multicast write network is needed. Larger capacities model the
- * hardware-only base-register caches of prior work (Figure 5b uses
- * 4-16 cached registers with full multicast updates).
+ * register, so no predecode or multicast write network is needed.
+ * Larger capacities model the hardware-only base-register caches of
+ * prior work (Figure 5b uses 4-16 cached registers).
+ *
+ * The cache keeps which registers are bound, their LRU order and
+ * binding lifetimes, but no register values: the timing model
+ * forwards the load's real effective address and models a stale
+ * binding as an R_addr_Interlock from register ready-times, so a
+ * cached copy of the base value would never be read.
  */
 
 #ifndef ELAG_PREDICT_REGISTER_CACHE_HH
 #define ELAG_PREDICT_REGISTER_CACHE_HH
 
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "support/stats.hh"
@@ -28,36 +32,25 @@ class Reader;
 
 namespace predict {
 
-/** LRU cache of (register specifier -> cached value). */
+/** LRU set of bound register specifiers. */
 class RegisterCache
 {
   public:
     explicit RegisterCache(uint32_t capacity);
 
     /**
-     * ID1-stage lookup: is @p reg bound, and what value is cached?
-     * @return the cached value, or nullopt when @p reg is not bound
-     *         (the R_addr_Hit term evaluates false).
+     * ID1-stage lookup: is @p reg bound? False means the R_addr_Hit
+     * term evaluates false.
      */
-    std::optional<uint32_t> lookup(int reg) const;
-
-    /** @return true if @p reg is currently bound. */
-    bool isBound(int reg) const { return lookup(reg).has_value(); }
+    bool isBound(int reg) const;
 
     /**
-     * Bind @p reg with @p value (the ld_e binding, or a hardware
-     * allocation on any load's base register). Evicts LRU. @p cycle
-     * (the binding pipeline cycle, when the caller has one) stamps
-     * the slot so rebinds can record the old binding's lifetime.
+     * Bind @p reg (the ld_e binding, or a hardware allocation on any
+     * load's base register). Evicts LRU. @p cycle (the binding
+     * pipeline cycle, when the caller has one) stamps the slot so
+     * rebinds can record the old binding's lifetime.
      */
-    void bind(int reg, uint32_t value, uint64_t cycle = 0);
-
-    /**
-     * Multicast write: a completing instruction wrote @p reg; cached
-     * copies are refreshed. For capacity 1 this is the paper's
-     * "limited broadcast" between the register file and R_addr.
-     */
-    void onRegisterWrite(int reg, uint32_t value);
+    void bind(int reg, uint64_t cycle = 0);
 
     /**
      * Drop @p reg's binding (fault injection, or a context-switch-
@@ -66,11 +59,7 @@ class RegisterCache
      */
     void invalidate(int reg, uint64_t cycle = 0);
 
-    uint32_t capacity() const { return cap; }
-
     // Statistics.
-    uint64_t lookups() const { return numLookups; }
-    uint64_t lookupHits() const { return numHits; }
     uint64_t bindings() const { return numBindings; }
 
     /**
@@ -81,11 +70,9 @@ class RegisterCache
      */
     const Histogram &lifetimeHistogram() const { return lifeHist; }
 
-    void reset();
-
     /**
      * Checkpoint every slot, the lifetime histogram, the LRU tick
-     * and the lookup/binding tallies. Capacity must match.
+     * and the binding tally. Capacity must match.
      */
     void serialize(ckpt::Writer &w) const;
     void restore(ckpt::Reader &r);
@@ -95,17 +82,13 @@ class RegisterCache
     {
         bool valid = false;
         int reg = 0;
-        uint32_t value = 0;
         uint64_t lastUsed = 0;
         uint64_t boundCycle = 0;
     };
 
-    uint32_t cap;
     std::vector<Slot> slots;
     Histogram lifeHist{16, 16};
     uint64_t tick = 0;
-    mutable uint64_t numLookups = 0;
-    mutable uint64_t numHits = 0;
     uint64_t numBindings = 0;
 };
 

@@ -16,13 +16,6 @@ isWorkVerb(const std::string &verb)
            verb == "simulate" || verb == "generate";
 }
 
-bool
-isControlVerb(const std::string &verb)
-{
-    return verb == "stats" || verb == "health" ||
-           verb == "metrics" || verb == "drain";
-}
-
 namespace {
 
 /** Position of `"key"` followed by ws + ':', or npos. */

@@ -94,9 +94,6 @@ struct Request
 /** @return true if @p verb computes on request-supplied source. */
 bool isWorkVerb(const std::string &verb);
 
-/** @return true if the server answers @p verb without admission. */
-bool isControlVerb(const std::string &verb);
-
 /**
  * Parse one request document. @return false (with @p error set) on
  * invalid JSON, a non-object document, a missing/empty verb, or

@@ -104,7 +104,7 @@ Server::handle(const Request &request)
             // Flat counters-only snapshot: what the supervisor
             // scrapes from each shard to aggregate a fleet-wide
             // metrics document (counters sum across processes;
-            // gauges and histograms do not).
+            // histograms do not).
             JsonWriter w(0);
             registry.writeCountersJson(w);
             return okResponse(request, w.str());

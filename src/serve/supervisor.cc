@@ -249,9 +249,8 @@ Supervisor::aggregateMetrics(const Request &request)
 
     // Merge this process's counters with every live worker's into a
     // private registry. Counters are deltas-from-zero, so summing
-    // same-named samples is the right aggregation; gauges and
-    // histograms stay per-process (the counters exposition is what
-    // workers export).
+    // same-named samples is the right aggregation; histograms stay
+    // per-process (the counters exposition is what workers export).
     obs::Registry merged;
     {
         JsonWriter w(0);

@@ -142,7 +142,7 @@ class DecodedStream
 
     /** Entries cached right now (tests). */
     static size_t cacheSize();
-    /** Drop all cached streams (tests). */
+    /** Drop all cached streams (tests, and perfbench's cold runs). */
     static void clearCache();
 
     /** The decoded records; size() == programSize() + 1 (sentinel). */

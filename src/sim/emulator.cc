@@ -18,13 +18,6 @@ Emulator::Emulator(const isa::MachineProgram &program)
     }
 }
 
-int32_t
-Emulator::reg(int index) const
-{
-    elag_assert(index >= 0 && index < isa::NumIntRegs);
-    return regs[index];
-}
-
 void
 Emulator::serialize(ckpt::Writer &w) const
 {
@@ -40,6 +33,11 @@ void
 Emulator::restore(ckpt::Reader &r)
 {
     pc_ = r.u32();
+    // run() accepts at most the end-of-program sentinel.
+    if (pc_ > stream_->programSize()) {
+        throw ckpt::CkptError(ckpt::ErrorKind::Corrupt,
+                              "checkpoint PC lies past the program");
+    }
     for (int32_t &reg : regs)
         reg = r.i32();
     for (float &freg : fregs)
@@ -68,6 +66,13 @@ restore(ckpt::Reader &r, EmulationResult &result)
     result.instructions = r.varint();
     result.output.clear();
     uint64_t values = r.varint();
+    // Each value takes four bytes; check before reserving, so a
+    // corrupt count cannot ask for a huge allocation.
+    if (values > r.remaining() / 4) {
+        throw ckpt::CkptError(ckpt::ErrorKind::Corrupt,
+                              "checkpoint output count overruns the "
+                              "payload");
+    }
     result.output.reserve(values);
     for (uint64_t i = 0; i < values; ++i)
         result.output.push_back(r.i32());

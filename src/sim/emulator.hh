@@ -91,8 +91,6 @@ class Emulator
     /** Run until HALT or @p max_instructions, with no observer. */
     EmulationResult run(uint64_t max_instructions = 500'000'000);
 
-    /** Architected integer register (for tests). */
-    int32_t reg(int index) const;
     /** The memory image (for tests). */
     const mem::MainMemory &memory() const { return mem_; }
     mem::MainMemory &memory() { return mem_; }

@@ -86,10 +86,4 @@ setQuiet(bool q)
     quietFlag.store(q, std::memory_order_relaxed);
 }
 
-bool
-quiet()
-{
-    return quietFlag.load(std::memory_order_relaxed);
-}
-
 } // namespace elag

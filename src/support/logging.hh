@@ -67,9 +67,6 @@ void inform(const char *fmt, ...)
 /** Globally silence warn()/inform() output (used by tests/benches). */
 void setQuiet(bool quiet);
 
-/** @return true if warn()/inform() output is suppressed. */
-bool quiet();
-
 } // namespace elag
 
 /**

@@ -31,7 +31,7 @@ class Pcg32
     /** @return a uniform integer in [0, bound) (bound > 0). */
     uint32_t nextBounded(uint32_t bound);
 
-    /** @return a uniform integer in [lo, hi] (inclusive). */
+    /** @return a uniform integer in [lo, hi], inclusive (tests). */
     int32_t nextRange(int32_t lo, int32_t hi);
 
     /** @return a uniform double in [0, 1). */

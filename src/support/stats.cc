@@ -29,14 +29,6 @@ Histogram::bucket(size_t i) const
 }
 
 void
-Histogram::reset()
-{
-    for (auto &b : buckets)
-        b = 0;
-    overflow_ = samples_ = total_ = 0;
-}
-
-void
 Histogram::restoreRaw(const std::vector<uint64_t> &counts,
                       uint64_t overflow, uint64_t samples,
                       uint64_t total)

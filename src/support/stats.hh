@@ -52,7 +52,6 @@ class Histogram
     uint64_t overflow() const { return overflow_; }
     size_t numBuckets() const { return buckets.size(); }
     uint64_t bucketWidth() const { return width; }
-    void reset();
 
     /**
      * Replace all counts wholesale (checkpoint restore). @p counts

@@ -84,7 +84,10 @@ struct SubprocessResult
 SubprocessResult runSubprocess(const std::vector<std::string> &argv,
                                const SubprocessLimits &limits = {});
 
-/** "exit 7", "signal 11 (SIGSEGV)", "timeout after 1200 ms", ... */
+/**
+ * "exit 7", "signal 11 (SIGSEGV)", "timeout after 1200 ms", ...
+ * Tests use it to explain a failed child.
+ */
 std::string describeSubprocessResult(const SubprocessResult &result);
 
 /**

@@ -82,16 +82,16 @@ void enable(const std::string &name, bool on = true);
  */
 void enableSpec(const std::string &spec);
 
-/** Disable every channel (including ones created later). */
+/** Disable every channel, including ones created later (tests). */
 void disableAll();
 
 /** Apply the ELAG_TRACE environment variable (idempotent). */
 void applyEnvironment();
 
-/** Names of all registered channels, sorted. */
+/** Names of all registered channels, sorted (tests). */
 std::vector<std::string> channelNames();
 
-/** Redirect trace output (default stderr); nullptr resets. */
+/** Redirect trace output (default stderr); nullptr resets (tests). */
 void setOutput(std::FILE *out);
 
 } // namespace trace

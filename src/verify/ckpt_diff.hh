@@ -46,7 +46,8 @@ struct CkptDiffResult
  * continue), and compare the two final stats documents byte for
  * byte. When @p with_checker is set the lockstep invariant checker
  * rides along on both sides, proving its shadow state survives the
- * round trip too. The snapshot file is removed on success.
+ * round trip too. The snapshot file is removed on success. A test
+ * oracle: only tests call it.
  */
 CkptDiffResult
 checkKillResumeEquivalence(const std::string &source,

@@ -70,7 +70,7 @@ FaultPlan planByName(const std::string &name);
 /** Names of all graceful plans (excludes "none" and bug plans). */
 std::vector<std::string> gracefulPlanNames();
 
-/** Names of every registered plan, graceful and bug alike. */
+/** Names of every registered plan, graceful and bug alike (tests). */
 std::vector<std::string> allPlanNames();
 
 /**

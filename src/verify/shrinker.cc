@@ -114,24 +114,5 @@ ddmin(size_t n, const SubsetOracle &stillFails, ShrinkStats *stats)
     return current;
 }
 
-uint64_t
-shrinkScalar(uint64_t lo, uint64_t hi, const ScalarOracle &stillFails,
-             ShrinkStats *stats)
-{
-    // Invariant: hi fails (caller-established), [lo, best) unknown.
-    uint64_t best = hi;
-    while (lo < best) {
-        uint64_t mid = lo + (best - lo) / 2;
-        bool fails = stillFails(mid);
-        if (stats)
-            ++stats->probes;
-        if (fails)
-            best = mid;
-        else
-            lo = mid + 1;
-    }
-    return best;
-}
-
 } // namespace verify
 } // namespace elag

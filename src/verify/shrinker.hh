@@ -7,13 +7,12 @@
  * ddmin() (Zeller & Hildebrandt's minimizing delta debugging) reduces
  * any index set whose failure is decided by an oracle callback to a
  * 1-minimal failing subset — removing any single remaining element
- * makes the failure disappear. shrinkScalar() binary-searches the
- * smallest failing value of a monotone numeric parameter (e.g. a
- * watchdog budget or program count).
+ * makes the failure disappear.
  *
- * Both are oracle-agnostic: tools/elag_campaign plugs in "re-run the
- * job in a sandboxed subprocess and compare the failure taxonomy",
- * tests plug in cheap synthetic predicates or in-process simulation.
+ * ddmin() is oracle-agnostic: tools/elag_campaign plugs in "re-run
+ * the job in a sandboxed subprocess and compare the failure
+ * taxonomy", tests plug in cheap synthetic predicates or in-process
+ * simulation.
  */
 
 #ifndef ELAG_VERIFY_SHRINKER_HH
@@ -56,19 +55,6 @@ struct ShrinkStats
  */
 std::vector<size_t> ddmin(size_t n, const SubsetOracle &stillFails,
                           ShrinkStats *stats = nullptr);
-
-/** Failure oracle over a scalar parameter value. */
-using ScalarOracle = std::function<bool(uint64_t value)>;
-
-/**
- * Smallest value in [lo, hi] for which @p stillFails holds, assuming
- * failure is monotone in the value (if v fails, every v' >= v fails).
- * Returns hi when only hi fails; callers should verify hi fails
- * before asking.
- */
-uint64_t shrinkScalar(uint64_t lo, uint64_t hi,
-                      const ScalarOracle &stillFails,
-                      ShrinkStats *stats = nullptr);
 
 } // namespace verify
 } // namespace elag

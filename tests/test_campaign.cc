@@ -37,7 +37,6 @@
 using namespace elag;
 using verify::ddmin;
 using verify::ShrinkStats;
-using verify::shrinkScalar;
 
 // ---------------------------------------------------------------
 // Subprocess sandbox.
@@ -234,16 +233,6 @@ TEST(Shrinker, DdminCachesRepeatedSubsets)
     // Not asserting an exact probe count (algorithm detail), only
     // that the memoization layer is live.
     EXPECT_GT(stats.probes, 0u);
-}
-
-TEST(Shrinker, ScalarFindsSmallestFailingValue)
-{
-    ShrinkStats stats;
-    EXPECT_EQ(shrinkScalar(0, 1000,
-                           [](uint64_t v) { return v >= 437; }, &stats),
-              437u);
-    EXPECT_LE(stats.probes, 12u) << "binary search, not a linear scan";
-    EXPECT_EQ(shrinkScalar(5, 5, [](uint64_t) { return true; }), 5u);
 }
 
 // ---------------------------------------------------------------

@@ -3,10 +3,12 @@
  * Checkpoint subsystem tests: byte codec round trips and bounds
  * checking, container integrity (torn tail, CRC corruption, version
  * mismatch — each rejected with its typed error), per-component
- * serialize/restore bit-exactness, and the correctness anchor:
- * kill-resume equivalence — a stats run interrupted at every
- * snapshot boundary and restored into fresh objects must produce a
- * byte-identical stats document to an uninterrupted run.
+ * serialize/restore bit-exactness, restores of mutated run state
+ * (typed rejection or a run that keeps stepping), and the
+ * correctness anchor: kill-resume equivalence — a stats run
+ * interrupted at every snapshot boundary and restored into fresh
+ * objects must produce a byte-identical stats document to an
+ * uninterrupted run.
  */
 
 #include <gtest/gtest.h>
@@ -18,6 +20,7 @@
 #include "mem/memory.hh"
 #include "sim/ckpt_run.hh"
 #include "sim/simulator.hh"
+#include "support/random.hh"
 #include "support/stats.hh"
 #include "verify/ckpt_diff.hh"
 #include "verify/fault_injector.hh"
@@ -370,6 +373,99 @@ TEST(CkptComponents, ResumableRunRoundTripBitExact)
     sim::ResumableTimedRun capped(prog, machine, 12345);
     ckpt::Reader r2(w.data().data(), w.size());
     expectCkptError(ErrorKind::Mismatch, [&] { capped.restore(r2); });
+}
+
+TEST(CkptComponents, MutatedRunStateRestoresOrThrowsCkptError)
+{
+    // The CRCs live in the container, not in this payload, so every
+    // mutation reaches the component readers. Each one must either
+    // reject the payload with CkptError or restore a run that then
+    // keeps stepping; any other exception fails the test.
+    sim::CompiledProgram prog = sim::compile(kProgram);
+    auto machine = pipeline::MachineConfig::proposed();
+    sim::ResumableTimedRun run(prog, machine, 500'000'000);
+    run.step(20'000, {});
+    ASSERT_FALSE(run.done());
+    ckpt::Writer w;
+    run.serialize(w);
+    const std::string &clean = w.data();
+
+    Pcg32 rng(20261017);
+    int rejected = 0;
+    int restored = 0;
+    int trapped = 0;
+    for (int i = 0; i < 1000; ++i) {
+        std::string bytes = clean;
+        size_t pos = rng.nextBounded(static_cast<uint32_t>(bytes.size()));
+        switch (rng.nextBounded(3)) {
+          case 0:
+            bytes[pos] = static_cast<char>(rng.nextBounded(256));
+            break;
+          case 1:
+            bytes[pos] = static_cast<char>(
+                bytes[pos] ^ (1 << rng.nextBounded(8)));
+            break;
+          default:
+            bytes.resize(pos);
+            break;
+        }
+        SCOPED_TRACE("mutation " + std::to_string(i) + " at byte " +
+                     std::to_string(pos));
+        sim::ResumableTimedRun fresh(prog, machine, 500'000'000);
+        ckpt::Reader r(bytes.data(), bytes.size());
+        try {
+            fresh.restore(r);
+        } catch (const CkptError &) {
+            ++rejected;
+            continue;
+        }
+        ++restored;
+        try {
+            fresh.step(5'000, {});
+        } catch (const sim::GuestTrapError &) {
+            // A mutated register or memory byte can send the guest
+            // out of range. The typed trap is the emulator's answer
+            // to any faulting guest, so it counts as a step.
+            ++trapped;
+        }
+    }
+    // Both outcomes occur, so the mutations reach past the first
+    // reader and into state the run goes on to use.
+    EXPECT_GT(rejected, 0);
+    EXPECT_GT(restored - trapped, 0);
+}
+
+TEST(CkptComponents, RestoreRejectsStateNoSnapshotHolds)
+{
+    // State no snapshot holds is rejected as corrupt at restore, not
+    // left to fail untyped later: a PC past the program, an output
+    // count larger than the payload, and a finished pipeline.
+    sim::CompiledProgram prog = sim::compile(kProgram);
+    sim::Emulator emu(prog.code.program);
+    ckpt::Writer ew;
+    emu.serialize(ew);
+    std::string bytes = ew.data();
+    bytes[3] = '\x7f'; // the PC is the first u32
+    ckpt::Reader er(bytes.data(), bytes.size());
+    sim::Emulator fresh_emu(prog.code.program);
+    expectCkptError(ErrorKind::Corrupt, [&] { fresh_emu.restore(er); });
+
+    ckpt::Writer rw;
+    rw.varint(0); // instructions
+    rw.varint(uint64_t{1} << 62); // output values, none present
+    ckpt::Reader rr(rw.data().data(), rw.size());
+    sim::EmulationResult result;
+    expectCkptError(ErrorKind::Corrupt, [&] { sim::restore(rr, result); });
+
+    auto machine = pipeline::MachineConfig::proposed();
+    pipeline::Pipeline pipe(machine);
+    ckpt::Writer pw;
+    pipe.serialize(pw);
+    bytes = pw.data();
+    bytes.back() = 1; // the finished flag is the last field
+    ckpt::Reader pr(bytes.data(), bytes.size());
+    pipeline::Pipeline fresh_pipe(machine);
+    expectCkptError(ErrorKind::Corrupt, [&] { fresh_pipe.restore(pr); });
 }
 
 // ---------------------------------------------------------------

@@ -33,15 +33,16 @@ class ProgramGen
             vars[i] = rng.nextRange(-50, 50);
     }
 
+    /** A program of @p statements top-level statements. */
     std::string
-    generate()
+    generate(int statements = 24)
     {
         std::string src = "int main() {\n";
         for (int i = 0; i < NumVars; ++i) {
             src += "    int v" + std::to_string(i) + " = " +
                    std::to_string(vars[i]) + ";\n";
         }
-        for (int i = 0; i < 24; ++i)
+        for (int i = 0; i < statements; ++i)
             src += statement(1);
         // Print a mixing checksum of all variables.
         src += "    print(";
@@ -256,7 +257,7 @@ TEST(Fuzz, WorkloadSizedProgramsStayConsistent)
     setQuiet(true);
     for (uint64_t seed = 500; seed <= 506; ++seed) {
         ProgramGen gen(seed);
-        std::string src = gen.generate();
+        std::string src = gen.generate(200);
         SCOPED_TRACE("seed " + std::to_string(seed));
         int32_t no_opt = runWith(src, false);
         int32_t opt = runWith(src, true);

@@ -330,12 +330,10 @@ TEST(Printer, FunctionListingHasBlocksAndEntry)
     EXPECT_NE(text.find("bb3:"), std::string::npos);
 }
 
-TEST(CondCodes, NegateAndSwap)
+TEST(CondCodes, Negate)
 {
     EXPECT_EQ(negateCond(CondCode::Lt), CondCode::Ge);
     EXPECT_EQ(negateCond(CondCode::Eq), CondCode::Ne);
-    EXPECT_EQ(swapCond(CondCode::Lt), CondCode::Gt);
-    EXPECT_EQ(swapCond(CondCode::Eq), CondCode::Eq);
 }
 
 TEST(Module, NumberLoadsAssignsStableUniqueIds)

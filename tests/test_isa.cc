@@ -1,19 +1,16 @@
 /**
  * @file
- * Unit and property tests for the ISA: instruction attributes, the
- * binary encoding (round-trip over randomized instructions), the
- * disassembler, and program verification.
+ * Unit tests for the ISA: instruction attributes, the disassembler,
+ * and program verification.
  */
 
 #include <gtest/gtest.h>
 
 #include "isa/builder.hh"
 #include "isa/disasm.hh"
-#include "isa/encoding.hh"
 #include "isa/program.hh"
 #include "isa/registers.hh"
 #include "support/logging.hh"
-#include "support/random.hh"
 
 using namespace elag;
 using namespace elag::isa;
@@ -68,52 +65,6 @@ TEST(Instruction, StoreReadsDataAndBase)
     EXPECT_EQ(s1, 8);
     EXPECT_EQ(s2, 9);
     EXPECT_FALSE(st.writesIntReg());
-}
-
-TEST(Encoding, RoundTripBasic)
-{
-    Instruction ld = build::load(LoadSpec::EarlyCalc, 3, 2, -28,
-                                 MemWidth::Word);
-    Instruction decoded = decode(encode(ld));
-    EXPECT_EQ(ld, decoded);
-}
-
-TEST(Encoding, RoundTripNegativeImmediate)
-{
-    Instruction li = build::li(5, -2147483647);
-    EXPECT_EQ(decode(encode(li)).imm, -2147483647);
-}
-
-TEST(Encoding, RejectsBadOpcodeField)
-{
-    EXPECT_THROW(decode(0xffull), FatalError);
-}
-
-// Property: encode/decode round-trips over randomized instructions.
-TEST(Encoding, RoundTripRandomizedProperty)
-{
-    Pcg32 rng(2024);
-    const Opcode ops[] = {
-        Opcode::ADD, Opcode::SUB, Opcode::MUL, Opcode::ADDI,
-        Opcode::ANDI, Opcode::SLLI, Opcode::LOAD, Opcode::STORE,
-        Opcode::BEQ, Opcode::BNE, Opcode::JMP, Opcode::JAL,
-        Opcode::JR, Opcode::PRINT, Opcode::HALT, Opcode::NOP,
-        Opcode::FADD, Opcode::FLOAD, Opcode::FSTORE,
-    };
-    for (int trial = 0; trial < 5000; ++trial) {
-        Instruction inst;
-        inst.op = ops[rng.nextBounded(sizeof(ops) / sizeof(ops[0]))];
-        inst.rd = static_cast<uint8_t>(rng.nextBounded(64));
-        inst.rs1 = static_cast<uint8_t>(rng.nextBounded(64));
-        inst.rs2 = static_cast<uint8_t>(rng.nextBounded(64));
-        inst.imm = static_cast<int32_t>(rng.next());
-        inst.spec = static_cast<LoadSpec>(rng.nextBounded(3));
-        inst.mode = static_cast<AddrMode>(rng.nextBounded(2));
-        inst.width =
-            rng.nextBool() ? MemWidth::Byte : MemWidth::Word;
-        Instruction decoded = decode(encode(inst));
-        EXPECT_EQ(inst, decoded) << "trial " << trial;
-    }
 }
 
 TEST(Disasm, LoadSpecifiersAppearInMnemonics)
@@ -176,14 +127,4 @@ TEST(Program, HeapBaseFollowsGlobals)
     prog.globalSize = 100;
     EXPECT_GE(prog.heapBase(), GlobalBase + 100);
     EXPECT_EQ(prog.heapBase() % 8, 0u);
-}
-
-TEST(Program, SymbolAtFindsEnclosingFunction)
-{
-    MachineProgram prog;
-    prog.symbols["_start"] = 0;
-    prog.symbols["main"] = 10;
-    EXPECT_EQ(prog.symbolAt(5), "_start");
-    EXPECT_EQ(prog.symbolAt(10), "main");
-    EXPECT_EQ(prog.symbolAt(50), "main");
 }

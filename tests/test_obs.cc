@@ -1,7 +1,7 @@
 /**
  * @file
  * Unit tests for the observability plane: the metrics registry
- * (counters/gauges/histograms, JSON + Prometheus exposition, durable
+ * (counters/histograms, JSON + Prometheus exposition, durable
  * counter snapshots) and the span tracer (Chrome trace-event output,
  * disabled-path behaviour, trace-ID minting).
  *
@@ -64,17 +64,6 @@ TEST(ObsMetrics, LabelsDistinguishChildren)
         2u);
 }
 
-TEST(ObsMetrics, GaugeSetAndAdd)
-{
-    obs::Registry registry;
-    obs::Gauge &g = registry.gauge("elag_depth", "h");
-    g.set(10);
-    g.add(-3);
-    EXPECT_EQ(g.value(), 7);
-    g.set(-2);
-    EXPECT_EQ(g.value(), -2);
-}
-
 TEST(ObsMetrics, HistogramBucketsAndOverflow)
 {
     obs::Registry registry;
@@ -100,9 +89,10 @@ TEST(ObsMetrics, KindCollisionPanics)
 {
     obs::Registry registry;
     registry.counter("elag_thing_total", "h");
-    EXPECT_THROW(registry.gauge("elag_thing_total", "h"), PanicError);
     EXPECT_THROW(registry.histogram("elag_thing_total", "h", 4, 1),
                  PanicError);
+    registry.histogram("elag_lat_us", "h", 4, 1);
+    EXPECT_THROW(registry.counter("elag_lat_us", "h"), PanicError);
 }
 
 TEST(ObsMetrics, InvalidNamePanics)
@@ -121,7 +111,7 @@ TEST(ObsMetrics, WriteJsonIsValidAndFlat)
 {
     obs::Registry registry;
     registry.counter("elag_hits_total", "h").inc(7);
-    registry.gauge("elag_entries", "h").set(3);
+    registry.counter("elag_req_total", "h", {{"verb", "stats"}}).inc(3);
     registry.histogram("elag_lat_us", "h", 2, 50).observe(120);
 
     JsonWriter w(0);
@@ -158,7 +148,7 @@ TEST(ObsMetrics, PrometheusExpositionPassesGrammar)
         .counter("elag_req_total", "Requests.",
                  {{"verb", "simulate"}})
         .inc(2);
-    registry.gauge("elag_entries", "Entries resident.").set(3);
+    registry.counter("elag_entries_total", "Entries admitted.").inc(3);
     registry.histogram("elag_lat_us", "Latency.", 3, 10).observe(25);
 
     std::string text = registry.prometheus();
@@ -207,8 +197,8 @@ TEST(ObsMetrics, CounterSnapshotRoundTrips)
     source.counter("elag_jobs_total", "h", {{"taxonomy", "crash"}})
         .inc(3);
     source.counter("elag_plain_total", "h").inc(9);
-    // Gauges are excluded from the durable snapshot by design.
-    source.gauge("elag_depth", "h").set(5);
+    // Histograms are excluded from the durable snapshot by design.
+    source.histogram("elag_lat_us", "h", 4, 10).observe(5);
 
     JsonWriter w(0);
     source.writeCountersJson(w);

@@ -150,8 +150,6 @@ TEST(Dce, KeepsCallsForSideEffects)
     )",
                            opt::OptConfig::noneEnabled());
     // With no inlining, the call must remain.
-    opt::OptConfig only_dce = opt::OptConfig::noneEnabled();
-    only_dce.dce = true;
     opt::deadCodeElimination(*mod->findFunction("main"));
     EXPECT_EQ(countOps(*mod->findFunction("main"), IrOpcode::Call),
               1u);

@@ -477,7 +477,6 @@ struct CountingObserver : Observer
     uint64_t dispatches = 0;
     uint64_t verifies = 0;
     uint64_t forwards = 0;
-    uint64_t stalls = 0;
     uint64_t forwardedOutcomes = 0;
 
     void
@@ -500,12 +499,6 @@ struct CountingObserver : Observer
     onForward(const RetiredInst &, LoadPath, int, uint64_t) override
     {
         ++forwards;
-    }
-
-    void
-    onStall(const RetiredInst &, StallKind, uint64_t) override
-    {
-        ++stalls;
     }
 };
 

@@ -1,7 +1,8 @@
 /**
  * @file
  * Simulator-façade tests: compile options, determinism of emulation
- * across machine models (timing never changes architecture), the
+ * across machine models (timing never changes architecture), load
+ * routing that must leave baseline timing unchanged, the
  * profile/reclassify/regenerate loop, and speedup accounting.
  */
 
@@ -11,6 +12,8 @@
 #include "sim/run_cache.hh"
 #include "sim/simulator.hh"
 #include "support/logging.hh"
+#include "verify/program_gen.hh"
+#include "workloads/synthetic/generator.hh"
 #include "workloads/workloads.hh"
 
 using namespace elag;
@@ -46,7 +49,70 @@ const char *MixedSrc = R"(
     }
 )";
 
+/**
+ * Small programs for the load-routing properties: six generated soak
+ * programs and one sampled scenario per synthetic kernel family.
+ */
+std::vector<std::string>
+routingCorpus()
+{
+    namespace synthetic = workloads::synthetic;
+    std::vector<std::string> sources;
+    verify::ProgramGen gen(4242);
+    for (int i = 0; i < 6; ++i)
+        sources.push_back(gen.generate());
+    for (const synthetic::FamilyInfo &info : synthetic::kernelFamilies()) {
+        sources.push_back(
+            synthetic::generateScenario(synthetic::sampleSpec(info.family, 3))
+                .source);
+    }
+    return sources;
+}
+
 } // namespace
+
+TEST(Sim, UnclassifiedProgramTimesLikeBaseline)
+{
+    // With every load left ld_n, the proposed machine has no load to
+    // route to either early path, so it must time exactly like the
+    // baseline machine.
+    setQuiet(true);
+    sim::CompileOptions options;
+    options.runClassifier = false;
+    std::vector<std::string> corpus = routingCorpus();
+    for (size_t i = 0; i < corpus.size(); ++i) {
+        SCOPED_TRACE("corpus program " + std::to_string(i));
+        auto prog = sim::compile(corpus[i], options);
+        auto base = sim::runTimed(prog, MachineConfig::baseline());
+        auto prop = sim::runTimed(prog, MachineConfig::proposed());
+        EXPECT_EQ(prop.pipe.cycles, base.pipe.cycles);
+        EXPECT_EQ(prop.pipe.dcacheMisses, base.pipe.dcacheMisses);
+    }
+}
+
+TEST(Sim, EveryPolicyWithBothPathsOffTimesLikeBaseline)
+{
+    // With the table and R_addr both disabled, no selection policy
+    // has an early path to route a load to.
+    setQuiet(true);
+    std::vector<std::string> corpus = routingCorpus();
+    for (size_t i = 0; i < corpus.size(); ++i) {
+        SCOPED_TRACE("corpus program " + std::to_string(i));
+        auto prog = sim::compile(corpus[i]);
+        uint64_t base =
+            sim::runTimed(prog, MachineConfig::baseline()).pipe.cycles;
+        for (SelectionPolicy policy :
+             {SelectionPolicy::CompilerSpec, SelectionPolicy::AllPredict,
+              SelectionPolicy::AllEarlyCalc, SelectionPolicy::EvSelect}) {
+            MachineConfig machine = MachineConfig::proposed();
+            machine.addressTableEnabled = false;
+            machine.earlyCalcEnabled = false;
+            machine.selection = policy;
+            EXPECT_EQ(sim::runTimed(prog, machine).pipe.cycles, base)
+                << "policy " << static_cast<int>(policy);
+        }
+    }
+}
 
 TEST(Sim, TimingModelNeverChangesArchitecturalResults)
 {

@@ -36,8 +36,9 @@ TEST_P(WorkloadTest, RunsToCompletion)
     EXPECT_TRUE(result.halted) << w.name << " hit the instruction cap";
     EXPECT_FALSE(result.output.empty())
         << w.name << " printed no checksum";
-    if (!w.expectedOutput.empty())
+    if (!w.expectedOutput.empty()) {
         EXPECT_EQ(result.output, w.expectedOutput);
+    }
 }
 
 TEST_P(WorkloadTest, OptimizerPreservesSemantics)
