@@ -175,9 +175,8 @@ parseHexKey(const std::string &hex, uint64_t &key)
 }
 
 /**
- * One record line, newline excluded. The scalar members precede the
- * value member, protocol-style, so stats-document text inside the
- * stored value can never shadow them.
+ * One record line, newline excluded: {"k": hex key, "c": CRC32 of the
+ * value, "v": value}.
  */
 std::string
 buildRecordLine(uint64_t key, const std::string &value)
@@ -193,24 +192,24 @@ buildRecordLine(uint64_t key, const std::string &value)
     return w.str();
 }
 
-/** Validate + decode one record line (no trailing newline). */
+/**
+ * Validate + decode one record line (no trailing newline): exactly the
+ * object buildRecordLine writes, with a matching CRC.
+ */
 bool
 parseRecordLine(const std::string &line, uint64_t &key,
                 std::string &value)
 {
-    size_t vpos = line.find("\"v\":");
-    if (vpos == std::string::npos)
-        return false;
-    std::string prefix = line.substr(0, vpos);
+    std::vector<JsonMember> members;
     std::string khex;
     uint64_t crc = 0;
-    if (!jsonExtractString(prefix, "k", khex) ||
-        !parseHexKey(khex, key) ||
-        !jsonExtractUint(prefix, "c", crc) || crc > UINT32_MAX) {
+    if (!jsonMembers(line, members) || members.size() != 3 ||
+        members[0].key != "k" || members[1].key != "c" ||
+        members[2].key != "v" || !jsonString(members[0].value, khex) ||
+        !parseHexKey(khex, key) || !jsonUint(members[1].value, crc) ||
+        crc > UINT32_MAX || !jsonString(members[2].value, value)) {
         return false;
     }
-    if (!jsonExtractString(line.substr(vpos), "v", value))
-        return false;
     return crc32(value.data(), value.size()) == crc;
 }
 

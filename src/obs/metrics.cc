@@ -241,7 +241,7 @@ namespace {
 /**
  * Parse one flat sample name back into (family, labels). The flat
  * grammar is exactly what renderLabels/flatName produce: optional
- * {k="v",...} with JSON-style escapes inside the value.
+ * {k="v",...} where each value is a JSON string literal.
  */
 bool
 parseFlatName(const std::string &flat, std::string &name,
@@ -261,23 +261,14 @@ parseFlatName(const std::string &flat, std::string &name,
     const size_t end = flat.size() - 1;
     while (p < end) {
         size_t eq = flat.find('=', p);
-        if (eq == std::string::npos || eq + 1 >= end ||
-            flat[eq + 1] != '"') {
+        if (eq == std::string::npos)
             return false;
-        }
-        std::string key = flat.substr(p, eq - p);
         std::string value;
-        size_t q = eq + 2;
-        for (; q < end && flat[q] != '"'; ++q) {
-            if (flat[q] == '\\' && q + 1 < end)
-                value += flat[++q];
-            else
-                value += flat[q];
-        }
-        if (q >= end)
+        size_t q = jsonStringAt(flat, eq + 1, value);
+        if (q == std::string::npos || q > end)
             return false;
-        labels.emplace_back(key, value);
-        p = q + 1;
+        labels.emplace_back(flat.substr(p, eq - p), value);
+        p = q;
         if (p < end) {
             if (flat[p] != ',')
                 return false;
@@ -292,54 +283,19 @@ parseFlatName(const std::string &flat, std::string &name,
 size_t
 Registry::restoreCounters(const std::string &raw_object)
 {
-    // Scan the flat {"name": value, ...} document directly: keys can
-    // contain braces and escaped quotes, so the line-oriented
-    // jsonExtract helpers do not apply.
-    size_t restored = 0;
-    size_t p = raw_object.find('{');
-    if (p == std::string::npos)
+    std::vector<JsonMember> members;
+    if (!jsonMembers(raw_object, members))
         return 0;
-    ++p;
-    while (p < raw_object.size()) {
-        size_t open = raw_object.find('"', p);
-        if (open == std::string::npos)
-            break;
-        std::string key;
-        size_t q = open + 1;
-        for (; q < raw_object.size() && raw_object[q] != '"'; ++q) {
-            if (raw_object[q] == '\\' && q + 1 < raw_object.size())
-                key += raw_object[++q];
-            else
-                key += raw_object[q];
-        }
-        if (q >= raw_object.size())
-            break;
-        size_t colon = raw_object.find(':', q + 1);
-        if (colon == std::string::npos)
-            break;
-        size_t vstart = colon + 1;
-        while (vstart < raw_object.size() &&
-               std::isspace(
-                   static_cast<unsigned char>(raw_object[vstart]))) {
-            ++vstart;
-        }
-        size_t vend = vstart;
-        while (vend < raw_object.size() &&
-               std::isdigit(
-                   static_cast<unsigned char>(raw_object[vend]))) {
-            ++vend;
-        }
+    size_t restored = 0;
+    for (const JsonMember &m : members) {
         uint64_t value = 0;
         std::string name;
         Labels labels;
-        if (vend > vstart &&
-            parseUint64(raw_object.substr(vstart, vend - vstart),
-                        value) &&
-            parseFlatName(key, name, labels)) {
+        if (jsonUint(m.value, value) &&
+            parseFlatName(m.key, name, labels)) {
             counter(name, "", labels).inc(value);
             ++restored;
         }
-        p = vend + 1;
     }
     return restored;
 }

@@ -194,8 +194,11 @@ class Registry
     /**
      * Add the values of a writeCountersJson() document into this
      * registry's counters, registering any that do not exist yet.
-     * @return the number of counters restored; 0 on a document that
-     * does not parse as a flat string->integer object.
+     * The document is read with support/json's reader: one that is
+     * not a valid JSON object restores nothing, and a member whose
+     * key is not a flat sample name or whose value is not an unsigned
+     * integer is skipped.
+     * @return the number of counters restored.
      */
     size_t restoreCounters(const std::string &raw_object);
 

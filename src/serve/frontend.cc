@@ -305,16 +305,16 @@ Frontend::serveConnection(int fd, uint64_t conn_id)
                        ok ? "ok" : "error",
                        (unsigned long long)micros);
 
+        // Drain before the ack goes out, so a client holding the ack
+        // sees a draining server. The ack is still the last frame on
+        // this connection: beginDrain only shuts read sides, and
+        // closing here makes the cutoff deterministic for the
+        // requesting client while beginDrain EOFs the others.
+        if (drain)
+            beginDrain();
         bool wrote = writeFrame(fd, response);
         span.end();
-        if (drain) {
-            // The drain ack is the last frame on this connection:
-            // closing here makes the cutoff deterministic for the
-            // requesting client, while beginDrain EOFs the others.
-            beginDrain();
-            break;
-        }
-        if (!wrote)
+        if (drain || !wrote)
             break;
     }
 

@@ -1,10 +1,9 @@
 #include "serve/protocol.hh"
 
-#include <algorithm>
 #include <cstdint>
+#include <vector>
 
 #include "support/json.hh"
-#include "support/logging.hh"
 
 namespace elag {
 namespace serve {
@@ -18,82 +17,71 @@ isWorkVerb(const std::string &verb)
 
 namespace {
 
-/** Position of `"key"` followed by ws + ':', or npos. */
-size_t
-keyPosition(const std::string &doc, const std::string &key)
+/** Decode one request member into its field; unknown keys are ignored. */
+bool
+readRequestMember(const JsonMember &m, Request &request,
+                  std::string &error)
 {
-    std::string needle = "\"" + key + "\"";
-    size_t pos = doc.find(needle);
-    while (pos != std::string::npos) {
-        size_t p = pos + needle.size();
-        while (p < doc.size() &&
-               (doc[p] == ' ' || doc[p] == '\t' || doc[p] == '\n' ||
-                doc[p] == '\r')) {
-            ++p;
+    auto text = [&](std::string &out) {
+        if (jsonString(m.value, out))
+            return true;
+        error = "member '" + m.key + "' must be a string";
+        return false;
+    };
+    auto uint = [&](uint64_t &out) {
+        if (jsonUint(m.value, out))
+            return true;
+        error = "member '" + m.key + "' must be an unsigned integer";
+        return false;
+    };
+    auto uint32 = [&](uint32_t &out) {
+        uint64_t wide = 0;
+        if (!uint(wide))
+            return false;
+        if (wide > UINT32_MAX) {
+            error = "member '" + m.key + "' exceeds 32 bits";
+            return false;
         }
-        if (p < doc.size() && doc[p] == ':')
-            return pos;
-        pos = doc.find(needle, pos + 1);
-    }
-    return std::string::npos;
-}
-
-/** Optional uint member: absent keeps the default, present must parse. */
-bool
-optionalUint(const std::string &prefix, const std::string &key,
-             uint64_t &out, std::string &error)
-{
-    if (keyPosition(prefix, key) == std::string::npos)
+        out = static_cast<uint32_t>(wide);
         return true;
-    if (!jsonExtractUint(prefix, key, out)) {
-        error = "member '" + key +
-                "' must be an unsigned integer";
+    };
+    auto boolean = [&](bool &out) {
+        if (jsonBool(m.value, out))
+            return true;
+        error = "member '" + m.key + "' must be a boolean";
         return false;
-    }
-    return true;
-}
+    };
 
-bool
-optionalUint32(const std::string &prefix, const std::string &key,
-               uint32_t &out, std::string &error)
-{
-    uint64_t wide = out;
-    if (!optionalUint(prefix, key, wide, error))
-        return false;
-    if (wide > UINT32_MAX) {
-        error = "member '" + key + "' exceeds 32 bits";
-        return false;
-    }
-    out = static_cast<uint32_t>(wide);
-    return true;
-}
-
-bool
-optionalString(const std::string &prefix, const std::string &key,
-               std::string &out, std::string &error)
-{
-    if (keyPosition(prefix, key) == std::string::npos)
-        return true;
-    if (!jsonExtractString(prefix, key, out)) {
-        error = "member '" + key + "' must be a string";
-        return false;
-    }
-    return true;
-}
-
-bool
-optionalBool(const std::string &prefix, const std::string &key,
-             bool &out, std::string &error)
-{
-    if (keyPosition(prefix, key) == std::string::npos)
-        return true;
-    std::string raw;
-    if (!jsonExtractRaw(prefix, key, raw) ||
-        (raw != "true" && raw != "false")) {
-        error = "member '" + key + "' must be a boolean";
-        return false;
-    }
-    out = raw == "true";
+    if (m.key == "verb")
+        return text(request.verb);
+    if (m.key == "id")
+        return uint(request.id);
+    if (m.key == "source")
+        return text(request.source);
+    if (m.key == "spec")
+        return text(request.spec);
+    if (m.key == "file")
+        return text(request.file);
+    if (m.key == "machine")
+        return text(request.machine);
+    if (m.key == "selection")
+        return text(request.selection);
+    if (m.key == "table")
+        return uint32(request.table);
+    if (m.key == "regs")
+        return uint32(request.regs);
+    if (m.key == "no_opt")
+        return boolean(request.noOpt);
+    if (m.key == "no_classify")
+        return boolean(request.noClassify);
+    if (m.key == "max_inst")
+        return uint(request.maxInst);
+    if (m.key == "deadline_ms")
+        return uint(request.deadlineMs);
+    if (m.key == "trace")
+        return text(request.trace);
+    if (m.key == "format")
+        return text(request.format);
     return true;
 }
 
@@ -103,58 +91,18 @@ bool
 parseRequest(const std::string &doc, Request &request,
              std::string &error)
 {
-    if (!jsonValid(doc)) {
-        error = "request is not valid JSON";
+    std::vector<JsonMember> members;
+    if (!jsonMembers(doc, members)) {
+        error = jsonValid(doc) ? "request must be a JSON object"
+                               : "request is not valid JSON";
         return false;
     }
-    size_t first = doc.find_first_not_of(" \t\r\n");
-    if (first == std::string::npos || doc[first] != '{') {
-        error = "request must be a JSON object";
-        return false;
-    }
-
-    // Scalars are read from the prefix before the source/spec
-    // members, so protocol-looking text inside the shipped payload
-    // cannot shadow them.
-    size_t src_pos = keyPosition(doc, "source");
-    size_t spec_pos = keyPosition(doc, "spec");
-    size_t payload_pos = std::min(src_pos, spec_pos);
-    std::string prefix = doc.substr(
-        0, payload_pos == std::string::npos ? doc.size()
-                                            : payload_pos);
-
-    if (!optionalString(prefix, "verb", request.verb, error) ||
-        !optionalUint(prefix, "id", request.id, error) ||
-        !optionalString(prefix, "file", request.file, error) ||
-        !optionalString(prefix, "machine", request.machine, error) ||
-        !optionalString(prefix, "selection", request.selection,
-                        error) ||
-        !optionalUint32(prefix, "table", request.table, error) ||
-        !optionalUint32(prefix, "regs", request.regs, error) ||
-        !optionalBool(prefix, "no_opt", request.noOpt, error) ||
-        !optionalBool(prefix, "no_classify", request.noClassify,
-                      error) ||
-        !optionalUint(prefix, "max_inst", request.maxInst, error) ||
-        !optionalUint(prefix, "deadline_ms", request.deadlineMs,
-                      error) ||
-        !optionalString(prefix, "trace", request.trace, error) ||
-        !optionalString(prefix, "format", request.format, error)) {
-        return false;
+    for (const JsonMember &m : members) {
+        if (!readRequestMember(m, request, error))
+            return false;
     }
     if (request.verb.empty()) {
         error = "missing required member 'verb'";
-        return false;
-    }
-    if (src_pos != std::string::npos &&
-        !jsonExtractString(doc.substr(src_pos), "source",
-                           request.source)) {
-        error = "member 'source' must be a string";
-        return false;
-    }
-    if (spec_pos != std::string::npos &&
-        !jsonExtractString(doc.substr(spec_pos), "spec",
-                           request.spec)) {
-        error = "member 'spec' must be a string";
         return false;
     }
     return true;
@@ -186,8 +134,6 @@ buildRequestDoc(const Request &request)
         w.field("trace", request.trace);
     if (!request.format.empty())
         w.field("format", request.format);
-    // Scalar members above must precede the payloads; see
-    // parseRequest.
     if (!request.spec.empty())
         w.field("spec", request.spec);
     if (!request.source.empty())
@@ -230,41 +176,50 @@ bool
 parseResponse(const std::string &doc, Response &response,
               std::string &error)
 {
-    if (!jsonValid(doc)) {
-        error = "response is not valid JSON";
+    std::vector<JsonMember> members;
+    if (!jsonMembers(doc, members)) {
+        error = "response is not a JSON object";
         return false;
     }
-    // Envelope fields precede the (arbitrarily large) result member.
-    size_t result_pos = keyPosition(doc, "result");
-    std::string prefix = doc.substr(
-        0, result_pos == std::string::npos ? doc.size() : result_pos);
-
-    std::string ok_raw;
-    if (!jsonExtractRaw(prefix, "ok", ok_raw) ||
-        (ok_raw != "true" && ok_raw != "false")) {
+    bool has_ok = false, has_result = false;
+    std::string error_block;
+    for (JsonMember &m : members) {
+        if (m.key == "ok") {
+            has_ok = jsonBool(m.value, response.ok);
+        } else if (m.key == "id") {
+            jsonUint(m.value, response.id);
+        } else if (m.key == "verb") {
+            jsonString(m.value, response.verb);
+        } else if (m.key == "result") {
+            response.result = std::move(m.value);
+            has_result = true;
+        } else if (m.key == "error") {
+            error_block = std::move(m.value);
+        }
+    }
+    if (!has_ok) {
         error = "missing or non-boolean 'ok' member";
         return false;
     }
-    response.ok = ok_raw == "true";
-    jsonExtractUint(prefix, "id", response.id);
-    jsonExtractString(prefix, "verb", response.verb);
-
     if (response.ok) {
-        if (result_pos == std::string::npos ||
-            !jsonExtractRaw(doc.substr(result_pos), "result",
-                            response.result)) {
+        if (!has_result) {
             error = "ok response without a 'result' member";
             return false;
         }
         return true;
     }
-    std::string error_block;
-    if (!jsonExtractRaw(doc, "error", error_block)) {
-        error = "error response without an 'error' member";
+
+    std::vector<JsonMember> fields;
+    if (!jsonMembers(error_block, fields)) {
+        error = "error response without an 'error' object";
         return false;
     }
-    jsonExtractString(error_block, "type", response.errorType);
-    jsonExtractString(error_block, "message", response.errorMessage);
+    for (const JsonMember &m : fields) {
+        if (m.key == "type")
+            jsonString(m.value, response.errorType);
+        else if (m.key == "message")
+            jsonString(m.value, response.errorMessage);
+    }
     if (response.errorType.empty()) {
         error = "error block without a 'type' member";
         return false;

@@ -12,11 +12,10 @@
  * mini-C source), `generate` (a work verb carrying a scenario-spec
  * document in `spec` instead of source), and `stats`, `health`,
  * `metrics`, `drain` (control verbs the server answers itself,
- * bypassing admission control so they work under overload). Scalar
- * members must precede `source`/`spec`: the parser reads them from
- * the prefix before the payload members, which keeps field
- * extraction immune to protocol-looking text inside the payload
- * being shipped.
+ * bypassing admission control so they work under overload). Members
+ * may come in any order: requests and responses are read as whole
+ * JSON objects by support/json's one reader, so protocol-looking text
+ * inside a shipped payload is only ever string content.
  *
  * Requests may carry a `trace` member: an opaque correlation ID the
  * client mints (obs::newTraceId) and both sides attach to their
@@ -96,13 +95,14 @@ bool isWorkVerb(const std::string &verb);
 
 /**
  * Parse one request document. @return false (with @p error set) on
- * invalid JSON, a non-object document, a missing/empty verb, or
- * out-of-range numeric fields.
+ * invalid JSON, a non-object document, a missing/empty verb, or a
+ * member of the wrong type (a non-integer where an unsigned integer
+ * is wanted) or out of range.
  */
 bool parseRequest(const std::string &doc, Request &request,
                   std::string &error);
 
-/** Serialize @p request as a compact document (source last). */
+/** Serialize @p request as a compact document. */
 std::string buildRequestDoc(const Request &request);
 
 /** Success envelope with @p result_json spliced in verbatim. */

@@ -16,20 +16,6 @@ namespace serve {
 
 namespace {
 
-const char *
-specName(isa::LoadSpec spec)
-{
-    switch (spec) {
-      case isa::LoadSpec::Normal:
-        return "ld_n";
-      case isa::LoadSpec::Predict:
-        return "ld_p";
-      case isa::LoadSpec::EarlyCalc:
-        return "ld_e";
-    }
-    return "?";
-}
-
 sim::CompiledProgram
 compileRequest(const Request &request)
 {
@@ -41,23 +27,6 @@ compileRequest(const Request &request)
         copts.opt = opt::OptConfig::noneEnabled();
     copts.runClassifier = !request.noClassify;
     return sim::compile(request.source, copts);
-}
-
-void
-writeProgramBlock(JsonWriter &w, const Request &request,
-                  const sim::CompiledProgram &prog)
-{
-    w.key("program").beginObject();
-    w.field("file", request.file);
-    w.field("instructions",
-            static_cast<uint64_t>(prog.code.program.code.size()));
-    w.key("static_loads").beginObject();
-    w.field("total", prog.classStats.total());
-    w.field("ld_n", prog.classStats.numNormal);
-    w.field("ld_p", prog.classStats.numPredict);
-    w.field("ld_e", prog.classStats.numEarlyCalc);
-    w.endObject();
-    w.endObject();
 }
 
 /** Generate-memo hit/miss counters, registered on first use. */
@@ -155,7 +124,7 @@ Router::execute(const Request &request) const
     if (request.verb == "compile") {
         JsonWriter w;
         w.beginObject();
-        writeProgramBlock(w, request, prog);
+        sim::programJson(w, request.file, prog);
         w.endObject();
         return w.str();
     }
@@ -163,12 +132,12 @@ Router::execute(const Request &request) const
     if (request.verb == "classify") {
         JsonWriter w;
         w.beginObject();
-        writeProgramBlock(w, request, prog);
+        sim::programJson(w, request.file, prog);
         w.key("loads").beginArray();
         for (const auto &entry : prog.specOf.entries()) {
             w.beginObject();
             w.field("load_id", entry.first);
-            w.field("spec", specName(entry.second));
+            w.field("spec", isa::loadSpecName(entry.second));
             w.endObject();
         }
         w.endArray();

@@ -97,13 +97,12 @@ ResumableTimedRun::step(uint64_t budget, const Watchdog &watchdog)
     uint64_t chunk = budget < left ? budget : left;
 
     // Watchdog limits are enforced per retire, exactly like the
-    // instrumented path of runTimed(): maxRetires / maxCycles are
-    // totals over the whole (possibly resumed) run, the wall clock
-    // covers this process's attempt.
+    // instrumented path of runTimed(): maxCycles bounds the whole
+    // (possibly resumed) run, the wall clock covers this process's
+    // attempt.
     uint64_t before = acc_.instructions;
     uint64_t local = 0;
-    bool guarded = watchdog.maxRetires || watchdog.maxCycles ||
-                   watchdog.maxWallMs;
+    bool guarded = watchdog.maxCycles || watchdog.maxWallMs;
 
     EmulationResult part = emu_.run(
         chunk, [&](const pipeline::RetiredInst &ri) {
@@ -126,14 +125,6 @@ ResumableTimedRun::step(uint64_t budget, const Watchdog &watchdog)
                                      static_cast<unsigned long long>(
                                          watchdog.maxWallMs)));
                 }
-            }
-            if (watchdog.maxRetires && total > watchdog.maxRetires) {
-                throw SimTimeoutError(
-                    SimTimeoutError::Kind::Retires, watchdog.maxRetires,
-                    formatString("watchdog: more than %llu "
-                                 "instructions retired",
-                                 static_cast<unsigned long long>(
-                                     watchdog.maxRetires)));
             }
             if (watchdog.maxCycles &&
                 pipe_.currentCycle() > watchdog.maxCycles) {
@@ -359,7 +350,7 @@ runTimedCheckpointed(const CompiledProgram &prog,
     }
     out.timed = timedRun.finish();
 
-    if (!policy.path.empty() && policy.deleteOnSuccess)
+    if (!policy.path.empty())
         ::unlink(policy.path.c_str());
     return out;
 }

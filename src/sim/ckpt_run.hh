@@ -105,9 +105,8 @@ class ResumableTimedRun
 
     /**
      * Retire up to @p budget more instructions. Watchdog limits are
-     * enforced per retire exactly as in runTimed(); maxRetires and
-     * maxCycles count the whole (resumed) run, maxWallMs counts this
-     * process's attempt only.
+     * enforced per retire exactly as in runTimed(); maxCycles counts
+     * the whole (resumed) run, maxWallMs this process's attempt only.
      */
     void step(uint64_t budget, const Watchdog &watchdog);
 
@@ -142,12 +141,13 @@ class ResumableTimedRun
 /** Snapshot cadence and placement for a checkpointed run. */
 struct CkptPolicy
 {
-    /** Snapshot file; empty disables snapshotting (resume-only). */
+    /**
+     * Snapshot file; empty disables snapshotting (resume-only). A run
+     * that completes removes it.
+     */
     std::string path;
     /** Retires between snapshots (0 means the 5M default). */
     uint64_t everyRetires = 0;
-    /** Remove the snapshot after the run completes cleanly. */
-    bool deleteOnSuccess = true;
     /**
      * Polled at chunk boundaries; returning true flushes a final
      * snapshot and stops the run with interrupted=true (used by

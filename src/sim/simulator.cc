@@ -169,8 +169,7 @@ runTimed(const CompiledProgram &prog,
 
     // Most runs have no watchdog and no tracer armed; keep the
     // per-retire callback down to the pipeline hand-off in that case.
-    if (!watchdog.maxWallMs && !watchdog.maxRetires &&
-        !watchdog.maxCycles && !tracer.enabled()) {
+    if (!watchdog.maxWallMs && !watchdog.maxCycles && !tracer.enabled()) {
         result.emulation =
             emu.run(max_instructions,
                     [&](const pipeline::RetiredInst &ri) {
@@ -220,14 +219,6 @@ runTimed(const CompiledProgram &prog,
                                          watchdog.maxWallMs)));
                 }
             }
-            if (watchdog.maxRetires && retired > watchdog.maxRetires) {
-                throw SimTimeoutError(
-                    SimTimeoutError::Kind::Retires, watchdog.maxRetires,
-                    formatString("watchdog: more than %llu "
-                                 "instructions retired",
-                                 static_cast<unsigned long long>(
-                                     watchdog.maxRetires)));
-            }
             if (watchdog.maxCycles &&
                 pipe.currentCycle() > watchdog.maxCycles) {
                 throw SimTimeoutError(
@@ -251,20 +242,6 @@ runTimed(const CompiledProgram &prog,
 }
 
 namespace {
-
-const char *
-specName(isa::LoadSpec spec)
-{
-    switch (spec) {
-      case isa::LoadSpec::Normal:
-        return "ld_n";
-      case isa::LoadSpec::Predict:
-        return "ld_p";
-      case isa::LoadSpec::EarlyCalc:
-        return "ld_e";
-    }
-    return "?";
-}
 
 pipeline::LoadPath
 expectedPath(isa::LoadSpec spec)
@@ -338,7 +315,7 @@ loadReportText(const CompiledProgram &prog,
         table.addRow(
             {std::to_string(site.pc),
              site.loadId >= 0 ? std::to_string(site.loadId) : "-",
-             site.classified ? specName(site.spec) : "-",
+             site.classified ? isa::loadSpecName(site.spec) : "-",
              pipeline::name(rec.path), std::to_string(rec.executed),
              std::to_string(rec.speculated),
              std::to_string(rec.forwarded()),
@@ -371,7 +348,7 @@ loadReportJson(JsonWriter &w, const CompiledProgram &prog,
         else
             w.key("load_id").nullValue();
         if (site.classified)
-            w.field("compiler_spec", specName(site.spec));
+            w.field("compiler_spec", isa::loadSpecName(site.spec));
         else
             w.key("compiler_spec").nullValue();
         w.field("path", pipeline::name(rec.path));
@@ -395,16 +372,10 @@ loadReportJson(JsonWriter &w, const CompiledProgram &prog,
     w.endArray();
 }
 
-std::string
-statsReportJson(const std::string &file_label,
-                const std::string &machine_name,
-                const std::string &selection,
-                const CompiledProgram &prog, const TimedResult &base,
-                const TimedResult &timed,
-                const pipeline::LoadTelemetry &telemetry)
+void
+programJson(JsonWriter &w, const std::string &file_label,
+            const CompiledProgram &prog)
 {
-    JsonWriter w;
-    w.beginObject();
     w.key("program").beginObject();
     w.field("file", file_label);
     w.field("instructions",
@@ -416,6 +387,19 @@ statsReportJson(const std::string &file_label,
     w.field("ld_e", prog.classStats.numEarlyCalc);
     w.endObject();
     w.endObject();
+}
+
+std::string
+statsReportJson(const std::string &file_label,
+                const std::string &machine_name,
+                const std::string &selection,
+                const CompiledProgram &prog, const TimedResult &base,
+                const TimedResult &timed,
+                const pipeline::LoadTelemetry &telemetry)
+{
+    JsonWriter w;
+    w.beginObject();
+    programJson(w, file_label, prog);
     w.field("machine", machine_name);
     if (!selection.empty())
         w.field("selection", selection);

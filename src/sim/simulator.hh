@@ -190,7 +190,7 @@ TimedResult runTimed(const CompiledProgram &prog,
 class SimTimeoutError : public std::runtime_error
 {
   public:
-    enum class Kind { Retires, Cycles, WallClock };
+    enum class Kind { Cycles, WallClock };
 
     SimTimeoutError(Kind which, uint64_t limit_value,
                     const std::string &msg)
@@ -212,8 +212,6 @@ class SimTimeoutError : public std::runtime_error
  */
 struct Watchdog
 {
-    /** Maximum instructions retired into the timing model. */
-    uint64_t maxRetires = 0;
     /** Maximum pipeline completion cycle. */
     uint64_t maxCycles = 0;
     /**
@@ -261,6 +259,14 @@ double speedup(const TimedResult &baseline, const TimedResult &machine);
  */
 std::string loadReportText(const CompiledProgram &prog,
                            const pipeline::LoadTelemetry &telemetry);
+
+/**
+ * Write the `program` member shared by the stats report and the served
+ * compile/classify results: the file label, the instruction count and
+ * the static load classes.
+ */
+void programJson(JsonWriter &w, const std::string &file_label,
+                 const CompiledProgram &prog);
 
 /**
  * Serialize the same per-PC report as a JSON array of site objects

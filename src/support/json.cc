@@ -1,11 +1,13 @@
 #include "support/json.hh"
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
 
 #include "support/logging.hh"
+#include "support/strings.hh"
 
 namespace elag {
 
@@ -50,156 +52,103 @@ jsonEscape(const std::string &s)
     return out;
 }
 
-// --- validator -------------------------------------------------------
+// --- reader ----------------------------------------------------------
 
 namespace {
 
-/** Recursive-descent JSON syntax checker (no value materialization). */
-class JsonChecker
+/**
+ * Recursive-descent JSON reader: the one grammar walk behind every
+ * reading function below. It validates, marks where each value's text
+ * begins and ends, decodes strings on request, collects the members
+ * (items) of a top-level object (array), and can note the first member
+ * named `wanted` at any depth.
+ */
+class JsonReader
 {
   public:
-    explicit JsonChecker(const std::string &text) : s(text) {}
+    explicit JsonReader(const std::string &text, size_t start = 0)
+        : s(text), pos(start)
+    {}
 
+    /**
+     * Read the whole text as one value with optional surrounding
+     * whitespace. With @p members (@p items) set, the value must be an
+     * object (array), whose top-level members (items) are appended.
+     */
     bool
-    check()
+    document(std::vector<JsonMember> *members = nullptr,
+             std::vector<std::string> *items = nullptr)
     {
         skipWs();
-        if (!value())
+        bool ok = members ? peek() == '{' && object(members)
+                  : items ? peek() == '[' && array(items)
+                          : value();
+        if (!ok)
             return false;
         skipWs();
         return pos == s.size();
     }
 
-  private:
+    /** A string literal at the cursor; decoded into @p out if set. */
     bool
-    value()
-    {
-        if (depth > 256 || pos >= s.size())
-            return false;
-        switch (s[pos]) {
-          case '{':
-            return object();
-          case '[':
-            return array();
-          case '"':
-            return string();
-          case 't':
-            return literal("true");
-          case 'f':
-            return literal("false");
-          case 'n':
-            return literal("null");
-          default:
-            return number();
-        }
-    }
-
-    bool
-    object()
-    {
-        ++depth;
-        ++pos; // '{'
-        skipWs();
-        if (peek() == '}') {
-            ++pos;
-            --depth;
-            return true;
-        }
-        for (;;) {
-            skipWs();
-            if (!string())
-                return false;
-            skipWs();
-            if (peek() != ':')
-                return false;
-            ++pos;
-            skipWs();
-            if (!value())
-                return false;
-            skipWs();
-            if (peek() == ',') {
-                ++pos;
-                continue;
-            }
-            if (peek() == '}') {
-                ++pos;
-                --depth;
-                return true;
-            }
-            return false;
-        }
-    }
-
-    bool
-    array()
-    {
-        ++depth;
-        ++pos; // '['
-        skipWs();
-        if (peek() == ']') {
-            ++pos;
-            --depth;
-            return true;
-        }
-        for (;;) {
-            skipWs();
-            if (!value())
-                return false;
-            skipWs();
-            if (peek() == ',') {
-                ++pos;
-                continue;
-            }
-            if (peek() == ']') {
-                ++pos;
-                --depth;
-                return true;
-            }
-            return false;
-        }
-    }
-
-    bool
-    string()
+    string(std::string *out)
     {
         if (peek() != '"')
             return false;
         ++pos;
-        while (pos < s.size()) {
-            unsigned char c = static_cast<unsigned char>(s[pos]);
-            if (c == '"') {
+        if (out)
+            out->clear();
+        for (;;) {
+            size_t run = pos;
+            while (pos < s.size() && s[pos] != '"' && s[pos] != '\\' &&
+                   static_cast<unsigned char>(s[pos]) >= 0x20) {
                 ++pos;
+            }
+            if (out)
+                out->append(s, run, pos - run);
+            if (pos >= s.size())
+                return false; // unterminated
+            char c = s[pos++];
+            if (c == '"')
                 return true;
-            }
-            if (c < 0x20)
+            if (c != '\\')
                 return false; // raw control character
-            if (c == '\\') {
-                ++pos;
-                if (pos >= s.size())
-                    return false;
-                char e = s[pos];
-                if (e == 'u') {
-                    for (int i = 1; i <= 4; ++i) {
-                        if (pos + i >= s.size() ||
-                            !std::isxdigit(static_cast<unsigned char>(
-                                s[pos + i]))) {
-                            return false;
-                        }
-                    }
-                    pos += 4;
-                } else if (!std::strchr("\"\\/bfnrt", e)) {
-                    return false;
+            if (pos >= s.size())
+                return false;
+            char decoded;
+            switch (s[pos++]) {
+              case '"': decoded = '"'; break;
+              case '\\': decoded = '\\'; break;
+              case '/': decoded = '/'; break;
+              case 'b': decoded = '\b'; break;
+              case 'f': decoded = '\f'; break;
+              case 'n': decoded = '\n'; break;
+              case 'r': decoded = '\r'; break;
+              case 't': decoded = '\t'; break;
+              case 'u': {
+                unsigned cp = 0;
+                for (int i = 0; i < 4; ++i, ++pos) {
+                    int digit = pos < s.size() ? hexDigit(s[pos]) : -1;
+                    if (digit < 0)
+                        return false;
+                    cp = cp << 4 | static_cast<unsigned>(digit);
                 }
+                // Our documents are ASCII; keep non-ASCII escapes as a
+                // replacement byte rather than growing a UTF-8 encoder.
+                decoded = cp < 0x80 ? static_cast<char>(cp) : '?';
+                break;
+              }
+              default:
+                return false;
             }
-            ++pos;
+            if (out)
+                *out += decoded;
         }
-        return false; // unterminated
     }
 
     bool
     number()
     {
-        size_t start = pos;
         if (peek() == '-')
             ++pos;
         if (!std::isdigit(peekByte()))
@@ -225,7 +174,121 @@ class JsonChecker
             while (std::isdigit(peekByte()))
                 ++pos;
         }
-        return pos > start;
+        return true;
+    }
+
+    size_t position() const { return pos; }
+
+    /** Member key whose first occurrence value() notes, if set. */
+    const std::string *wanted = nullptr;
+    bool found = false;
+    /** Text span of that member's value, once found. */
+    size_t foundBegin = 0, foundEnd = 0;
+
+  private:
+    bool
+    value()
+    {
+        if (depth > 256 || pos >= s.size())
+            return false;
+        switch (s[pos]) {
+          case '{':
+            return object(nullptr);
+          case '[':
+            return array(nullptr);
+          case '"':
+            return string(nullptr);
+          case 't':
+            return literal("true");
+          case 'f':
+            return literal("false");
+          case 'n':
+            return literal("null");
+          default:
+            return number();
+        }
+    }
+
+    bool
+    object(std::vector<JsonMember> *members)
+    {
+        ++depth;
+        ++pos; // '{'
+        skipWs();
+        if (peek() == '}') {
+            ++pos;
+            --depth;
+            return true;
+        }
+        std::string key;
+        for (;;) {
+            skipWs();
+            bool decode = members || (wanted && !found);
+            if (!string(decode ? &key : nullptr))
+                return false;
+            skipWs();
+            if (peek() != ':')
+                return false;
+            ++pos;
+            skipWs();
+            // Claim the match before descending: a same-named member
+            // nested inside this value comes later in document order.
+            bool match = wanted && !found && key == *wanted;
+            if (match) {
+                found = true;
+                foundBegin = pos;
+            }
+            size_t begin = pos;
+            if (!value())
+                return false;
+            if (match)
+                foundEnd = pos;
+            if (members)
+                members->push_back({key, s.substr(begin, pos - begin)});
+            skipWs();
+            if (peek() == ',') {
+                ++pos;
+                continue;
+            }
+            if (peek() == '}') {
+                ++pos;
+                --depth;
+                return true;
+            }
+            return false;
+        }
+    }
+
+    bool
+    array(std::vector<std::string> *items)
+    {
+        ++depth;
+        ++pos; // '['
+        skipWs();
+        if (peek() == ']') {
+            ++pos;
+            --depth;
+            return true;
+        }
+        for (;;) {
+            skipWs();
+            size_t begin = pos;
+            if (!value())
+                return false;
+            if (items)
+                items->push_back(s.substr(begin, pos - begin));
+            skipWs();
+            if (peek() == ',') {
+                ++pos;
+                continue;
+            }
+            if (peek() == ']') {
+                ++pos;
+                --depth;
+                return true;
+            }
+            return false;
+        }
     }
 
     bool
@@ -236,6 +299,18 @@ class JsonChecker
             return false;
         pos += len;
         return true;
+    }
+
+    static int
+    hexDigit(char h)
+    {
+        if (h >= '0' && h <= '9')
+            return h - '0';
+        if (h >= 'a' && h <= 'f')
+            return h - 'a' + 10;
+        if (h >= 'A' && h <= 'F')
+            return h - 'A' + 10;
+        return -1;
     }
 
     char peek() const { return pos < s.size() ? s[pos] : '\0'; }
@@ -256,106 +331,89 @@ class JsonChecker
     }
 
     const std::string &s;
-    size_t pos = 0;
+    size_t pos;
     int depth = 0;
 };
+
+/** True if the whole of @p value is one JSON number. */
+bool
+isNumber(const std::string &value)
+{
+    JsonReader r(value);
+    return r.number() && r.position() == value.size();
+}
 
 } // anonymous namespace
 
 bool
 jsonValid(const std::string &text)
 {
-    return JsonChecker(text).check();
+    return JsonReader(text).document();
 }
-
-// --- flat-document field extraction ----------------------------------
-
-namespace {
-
-/** Position just past `"key"` + ws + ':' + ws, or npos. */
-size_t
-findMemberValue(const std::string &doc, const std::string &key)
-{
-    std::string needle = "\"" + key + "\"";
-    size_t pos = doc.find(needle);
-    while (pos != std::string::npos) {
-        size_t p = pos + needle.size();
-        while (p < doc.size() &&
-               (doc[p] == ' ' || doc[p] == '\t' || doc[p] == '\n' ||
-                doc[p] == '\r')) {
-            ++p;
-        }
-        if (p < doc.size() && doc[p] == ':') {
-            ++p;
-            while (p < doc.size() &&
-                   (doc[p] == ' ' || doc[p] == '\t' ||
-                    doc[p] == '\n' || doc[p] == '\r')) {
-                ++p;
-            }
-            return p;
-        }
-        pos = doc.find(needle, pos + 1); // quoted string, not a key
-    }
-    return std::string::npos;
-}
-
-} // anonymous namespace
 
 bool
-jsonExtractString(const std::string &doc, const std::string &key,
-                  std::string &out)
+jsonMembers(const std::string &text, std::vector<JsonMember> &out)
 {
-    size_t p = findMemberValue(doc, key);
-    if (p == std::string::npos || p >= doc.size() || doc[p] != '"')
+    out.clear();
+    return JsonReader(text).document(&out);
+}
+
+bool
+jsonElements(const std::string &text, std::vector<std::string> &out)
+{
+    out.clear();
+    return JsonReader(text).document(nullptr, &out);
+}
+
+size_t
+jsonStringAt(const std::string &text, size_t pos, std::string &out)
+{
+    JsonReader r(text, pos);
+    std::string decoded;
+    if (!r.string(&decoded))
+        return std::string::npos;
+    out = std::move(decoded);
+    return r.position();
+}
+
+bool
+jsonString(const std::string &value, std::string &out)
+{
+    std::string decoded;
+    if (jsonStringAt(value, 0, decoded) != value.size())
         return false;
-    ++p;
-    std::string value;
-    while (p < doc.size() && doc[p] != '"') {
-        char c = doc[p++];
-        if (c != '\\') {
-            value += c;
-            continue;
-        }
-        if (p >= doc.size())
-            return false;
-        char esc = doc[p++];
-        switch (esc) {
-          case '"': value += '"'; break;
-          case '\\': value += '\\'; break;
-          case '/': value += '/'; break;
-          case 'b': value += '\b'; break;
-          case 'f': value += '\f'; break;
-          case 'n': value += '\n'; break;
-          case 'r': value += '\r'; break;
-          case 't': value += '\t'; break;
-          case 'u': {
-            if (p + 4 > doc.size())
-                return false;
-            unsigned cp = 0;
-            for (int i = 0; i < 4; ++i) {
-                char h = doc[p++];
-                cp <<= 4;
-                if (h >= '0' && h <= '9')
-                    cp |= static_cast<unsigned>(h - '0');
-                else if (h >= 'a' && h <= 'f')
-                    cp |= static_cast<unsigned>(h - 'a' + 10);
-                else if (h >= 'A' && h <= 'F')
-                    cp |= static_cast<unsigned>(h - 'A' + 10);
-                else
-                    return false;
-            }
-            // Manifest strings are ASCII; keep non-ASCII escapes as a
-            // replacement byte rather than growing a UTF-8 encoder.
-            value += cp < 0x80 ? static_cast<char>(cp) : '?';
-            break;
-          }
-          default:
-            return false;
-        }
-    }
-    if (p >= doc.size())
-        return false; // unterminated string
-    out = value;
+    out = std::move(decoded);
+    return true;
+}
+
+bool
+jsonUint(const std::string &value, uint64_t &out)
+{
+    // parseUint64 rejects the sign, fraction and exponent a JSON
+    // number may carry, and overflow.
+    return isNumber(value) && parseUint64(value, out);
+}
+
+bool
+jsonNumber(const std::string &value, double &out)
+{
+    if (!isNumber(value))
+        return false;
+    double parsed = 0.0;
+    const char *end = value.data() + value.size();
+    auto [stop, ec] = std::from_chars(value.data(), end, parsed);
+    if (ec != std::errc() || stop != end || !std::isfinite(parsed))
+        return false;
+    out = parsed;
+    return true;
+}
+
+bool
+jsonBool(const std::string &value, bool &out)
+{
+    if (value != "true" && value != "false")
+        return false;
+    out = value == "true";
     return true;
 }
 
@@ -363,81 +421,28 @@ bool
 jsonExtractRaw(const std::string &doc, const std::string &key,
                std::string &out)
 {
-    size_t p = findMemberValue(doc, key);
-    if (p == std::string::npos || p >= doc.size())
+    JsonReader r(doc);
+    r.wanted = &key;
+    if (!r.document() || !r.found)
         return false;
-
-    size_t start = p;
-    char c = doc[p];
-    if (c == '{' || c == '[') {
-        // Balanced scan, skipping over string contents.
-        int depth = 0;
-        bool in_string = false;
-        while (p < doc.size()) {
-            char ch = doc[p];
-            if (in_string) {
-                if (ch == '\\')
-                    ++p; // skip the escaped character
-                else if (ch == '"')
-                    in_string = false;
-            } else if (ch == '"') {
-                in_string = true;
-            } else if (ch == '{' || ch == '[') {
-                ++depth;
-            } else if (ch == '}' || ch == ']') {
-                --depth;
-                if (depth == 0) {
-                    out = doc.substr(start, p - start + 1);
-                    return true;
-                }
-            }
-            ++p;
-        }
-        return false; // unbalanced
-    }
-    if (c == '"') {
-        ++p;
-        while (p < doc.size() && doc[p] != '"') {
-            if (doc[p] == '\\')
-                ++p;
-            ++p;
-        }
-        if (p >= doc.size())
-            return false; // unterminated
-        out = doc.substr(start, p - start + 1);
-        return true;
-    }
-    // Bare scalar: number / true / false / null.
-    while (p < doc.size() && doc[p] != ',' && doc[p] != '}' &&
-           doc[p] != ']' && doc[p] != ' ' && doc[p] != '\t' &&
-           doc[p] != '\n' && doc[p] != '\r') {
-        ++p;
-    }
-    if (p == start)
-        return false;
-    out = doc.substr(start, p - start);
+    out = doc.substr(r.foundBegin, r.foundEnd - r.foundBegin);
     return true;
+}
+
+bool
+jsonExtractString(const std::string &doc, const std::string &key,
+                  std::string &out)
+{
+    std::string raw;
+    return jsonExtractRaw(doc, key, raw) && jsonString(raw, out);
 }
 
 bool
 jsonExtractUint(const std::string &doc, const std::string &key,
                 uint64_t &out)
 {
-    size_t p = findMemberValue(doc, key);
-    if (p == std::string::npos || p >= doc.size() || doc[p] < '0' ||
-        doc[p] > '9') {
-        return false;
-    }
-    uint64_t value = 0;
-    while (p < doc.size() && doc[p] >= '0' && doc[p] <= '9') {
-        uint64_t digit = static_cast<uint64_t>(doc[p] - '0');
-        if (value > (UINT64_MAX - digit) / 10)
-            return false;
-        value = value * 10 + digit;
-        ++p;
-    }
-    out = value;
-    return true;
+    std::string raw;
+    return jsonExtractRaw(doc, key, raw) && jsonUint(raw, out);
 }
 
 // --- writer ----------------------------------------------------------

@@ -1,13 +1,20 @@
 /**
  * @file
- * Minimal JSON emission for machine-readable statistics.
+ * The repository's JSON writer and its one JSON reader.
  *
  * JsonWriter is a push-style serializer: begin/end nesting calls plus
  * typed value calls, with commas and indentation handled internally.
- * It covers exactly what the stats exporters need (objects, arrays,
+ * It covers exactly what the exporters need (objects, arrays,
  * strings, numbers, booleans, null) with no external dependency.
- * jsonValid() is a structural validator used by tests and tools to
- * assert that emitted documents parse.
+ *
+ * Every document the program reads -- requests, response envelopes,
+ * cache records, counter snapshots, scenario specs, manifest lines --
+ * goes through one recursive-descent grammar walk. jsonMembers and
+ * jsonElements split a valid object or array into the exact text of
+ * its values; the typed decoders turn one value's text into a string,
+ * unsigned integer, number or boolean. Strings decode the standard
+ * escapes; a \u escape above 0x7f decodes to '?'. Nesting deeper
+ * than 256 levels is rejected.
  */
 
 #ifndef ELAG_SUPPORT_JSON_HH
@@ -25,34 +32,66 @@ std::string jsonEscape(const std::string &s);
 /** @return true if @p text is one complete, valid JSON value. */
 bool jsonValid(const std::string &text);
 
+/** One object member: its decoded key and its value's exact text. */
+struct JsonMember
+{
+    std::string key;
+    std::string value;
+};
+
 /**
- * Pull the value of the first member named @p key out of a flat JSON
- * document — a line-oriented complement to JsonWriter for consumers
- * of our own JSONL manifests, not a general JSON parser. The match
- * is textual (first `"key":` occurrence), so it is only reliable on
- * documents whose shape the caller controls, e.g. campaign manifest
- * records where each key appears once.
+ * The top-level members of an object, in document order, duplicates
+ * included. @return false unless @p text is one valid JSON object
+ * (surrounding whitespace allowed).
+ */
+bool jsonMembers(const std::string &text, std::vector<JsonMember> &out);
+
+/**
+ * The exact text of each item of an array, in order. @return false
+ * unless @p text is one valid JSON array.
+ */
+bool jsonElements(const std::string &text, std::vector<std::string> &out);
+
+/**
+ * Typed decoders for one value's exact text, as jsonMembers and
+ * jsonElements return it (no surrounding whitespace). jsonUint
+ * accepts only an integer with no sign, fraction or exponent that
+ * fits 64 bits; jsonNumber any finite JSON number. @return true and
+ * set @p out on success; false (leaving @p out untouched) otherwise.
+ */
+bool jsonString(const std::string &value, std::string &out);
+bool jsonUint(const std::string &value, uint64_t &out);
+bool jsonNumber(const std::string &value, double &out);
+bool jsonBool(const std::string &value, bool &out);
+
+/**
+ * Decode the JSON string literal that starts at offset @p pos of
+ * @p text, for literals embedded in another grammar (a metric's
+ * `name{k="v"}` flat name). @return the offset just past its closing
+ * quote, or std::string::npos (leaving @p out untouched) if no valid
+ * literal starts there.
+ */
+size_t jsonStringAt(const std::string &text, size_t pos,
+                    std::string &out);
+
+/**
+ * Pull one member out of a valid JSON document: the first member
+ * named @p key, in document order, at any depth. For consumers that
+ * want one field of a document they do not otherwise walk (manifest
+ * lines, stats documents).
  *
- * jsonExtractString unescapes the standard JSON escapes; it fails on
- * non-string values. jsonExtractUint fails unless the value is a
- * bare unsigned integer.
+ * jsonExtractRaw returns the value's exact text, so a sub-document
+ * spliced in with JsonWriter::rawValue() is recovered verbatim;
+ * jsonExtractString and jsonExtractUint decode it as jsonString and
+ * jsonUint do.
  *
- * @return true and set @p out on success; false otherwise.
+ * @return true and set @p out on success; false if @p doc is not
+ * valid JSON, has no such member, or the value has the wrong type.
  */
 bool jsonExtractString(const std::string &doc, const std::string &key,
                        std::string &out);
 bool jsonExtractUint(const std::string &doc, const std::string &key,
                      uint64_t &out);
-
-/**
- * Extract the raw text of the first member named @p key — the exact
- * bytes of its value, balanced across nested objects/arrays and
- * escape-aware inside strings. Unlike jsonExtractString this works
- * for any value kind and performs no unescaping, so a sub-document
- * spliced in with JsonWriter::rawValue() can be recovered verbatim.
- * Subject to the same first-occurrence caveat as the extractors
- * above.
- */
 bool jsonExtractRaw(const std::string &doc, const std::string &key,
                     std::string &out);
 

@@ -1,15 +1,11 @@
 #include "workloads/synthetic/scenario.hh"
 
-#include <cctype>
-#include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
+#include <set>
 
 #include "support/json.hh"
 #include "support/logging.hh"
 #include "support/random.hh"
-#include "support/strings.hh"
 #include "workloads/synthetic/distributions.hh"
 
 namespace elag {
@@ -123,159 +119,66 @@ validateSpec(const ScenarioSpec &spec)
 
 namespace {
 
-/**
- * Strict cursor-based reader for the flat scenario-spec object. The
- * generic jsonExtract* helpers are first-occurrence textual probes;
- * spec parsing instead walks every member exactly once so unknown
- * and duplicated keys can be rejected.
- */
-struct SpecReader
+/** Decode an unsigned 32-bit member value. @return "" or a reason. */
+std::string
+readUint32(const std::string &key, const std::string &value,
+           uint32_t &out)
 {
-    const std::string &doc;
-    size_t pos = 0;
-    std::string error;
+    uint64_t wide = 0;
+    if (!jsonUint(value, wide))
+        return key + " must be an unsigned integer";
+    if (wide > UINT32_MAX)
+        return key + " out of range";
+    out = static_cast<uint32_t>(wide);
+    return "";
+}
 
-    explicit SpecReader(const std::string &d) : doc(d) {}
-
-    void
-    skipWs()
-    {
-        while (pos < doc.size() &&
-               std::isspace(static_cast<unsigned char>(doc[pos])))
-            ++pos;
+/** Decode one spec member into @p spec. @return "" or a reason. */
+std::string
+readSpecMember(const JsonMember &m, ScenarioSpec &spec)
+{
+    if (m.key == "family") {
+        std::string text;
+        if (!jsonString(m.value, text))
+            return "family must be a string";
+        if (!familyByName(text, spec.family))
+            return "unknown family '" + text + "'";
+        return "";
     }
-
-    bool
-    fail(const std::string &why)
-    {
-        if (error.empty())
-            error = why;
-        return false;
+    if (m.key == "seed") {
+        return jsonUint(m.value, spec.seed)
+                   ? ""
+                   : "seed must be an unsigned integer";
     }
-
-    bool
-    expect(char c)
-    {
-        skipWs();
-        if (pos >= doc.size() || doc[pos] != c)
-            return fail(std::string("expected '") + c + "'");
-        ++pos;
-        return true;
-    }
-
-    /** Peek the next non-space character without consuming it. */
-    char
-    peek()
-    {
-        skipWs();
-        return pos < doc.size() ? doc[pos] : '\0';
-    }
-
-    bool
-    readString(std::string &out)
-    {
-        if (!expect('"'))
-            return false;
-        out.clear();
-        while (pos < doc.size() && doc[pos] != '"') {
-            char c = doc[pos++];
-            if (c == '\\') {
-                if (pos >= doc.size())
-                    return fail("bad string escape");
-                char esc = doc[pos++];
-                switch (esc) {
-                case '"': out += '"'; break;
-                case '\\': out += '\\'; break;
-                case '/': out += '/'; break;
-                case 'n': out += '\n'; break;
-                case 't': out += '\t'; break;
-                default: return fail("unsupported string escape");
-                }
-            } else {
-                out += c;
-            }
+    if (m.key == "working_set")
+        return readUint32(m.key, m.value, spec.workingSet);
+    if (m.key == "hot_loads")
+        return readUint32(m.key, m.value, spec.hotLoads);
+    if (m.key == "strides") {
+        std::vector<std::string> items;
+        if (!jsonElements(m.value, items))
+            return "strides must be an array";
+        spec.strides.assign(items.size(), 0);
+        for (size_t i = 0; i < items.size(); ++i) {
+            std::string why = readUint32(m.key, items[i], spec.strides[i]);
+            if (!why.empty())
+                return why;
         }
-        if (pos >= doc.size())
-            return fail("unterminated string");
-        ++pos; // closing quote
-        return true;
+        return "";
     }
-
-    bool
-    readUint(const char *key, uint64_t max, uint64_t &out)
-    {
-        skipWs();
-        size_t start = pos;
-        while (pos < doc.size() &&
-               std::isdigit(static_cast<unsigned char>(doc[pos])))
-            ++pos;
-        if (pos == start)
-            return fail(std::string(key) +
-                        " must be an unsigned integer");
-        if (pos < doc.size() &&
-            (doc[pos] == '.' || doc[pos] == 'e' || doc[pos] == 'E'))
-            return fail(std::string(key) +
-                        " must be an unsigned integer");
-        uint64_t value = 0;
-        if (!parseUint64(doc.substr(start, pos - start), value) ||
-            value > max)
-            return fail(std::string(key) + " out of range");
-        out = value;
-        return true;
+    if (m.key == "alias_density" || m.key == "branch_ratio") {
+        double &out = m.key == "alias_density" ? spec.aliasDensity
+                                               : spec.branchRatio;
+        return jsonNumber(m.value, out)
+                   ? ""
+                   : m.key + " must be a finite number";
     }
-
-    bool
-    readDouble(const char *key, double &out)
-    {
-        skipWs();
-        size_t start = pos;
-        if (pos < doc.size() && (doc[pos] == '-' || doc[pos] == '+'))
-            ++pos;
-        while (pos < doc.size() &&
-               (std::isdigit(static_cast<unsigned char>(doc[pos])) ||
-                doc[pos] == '.' || doc[pos] == 'e' || doc[pos] == 'E' ||
-                doc[pos] == '-' || doc[pos] == '+'))
-            ++pos;
-        if (pos == start)
-            return fail(std::string(key) + " must be a number");
-        std::string text = doc.substr(start, pos - start);
-        char *end = nullptr;
-        double value = strtod(text.c_str(), &end);
-        if (end != text.c_str() + text.size() || !std::isfinite(value))
-            return fail(std::string(key) + " must be a finite number");
-        out = value;
-        return true;
-    }
-
-    bool
-    readUintArray(const char *key, uint64_t max,
-                  std::vector<uint32_t> &out)
-    {
-        if (!expect('['))
-            return false;
-        out.clear();
-        if (peek() == ']') {
-            ++pos;
-            return true;
-        }
-        for (;;) {
-            uint64_t value = 0;
-            if (!readUint(key, max, value))
-                return false;
-            out.push_back(static_cast<uint32_t>(value));
-            char c = peek();
-            if (c == ',') {
-                ++pos;
-                continue;
-            }
-            if (c == ']') {
-                ++pos;
-                return true;
-            }
-            return fail(std::string("expected ',' or ']' in ") + key);
-        }
-    }
-};
+    if (m.key == "chase_depth")
+        return readUint32(m.key, m.value, spec.chaseDepth);
+    if (m.key == "iterations")
+        return readUint32(m.key, m.value, spec.iterations);
+    return "unknown member '" + m.key + "'";
+}
 
 } // namespace
 
@@ -283,112 +186,30 @@ bool
 parseScenarioSpec(const std::string &doc, ScenarioSpec &spec,
                   std::string &error)
 {
-    ScenarioSpec parsed;
-    SpecReader r(doc);
-    bool seen_family = false, seen_seed = false, seen_ws = false,
-         seen_hot = false, seen_strides = false, seen_alias = false,
-         seen_chase = false, seen_branch = false, seen_iter = false;
-
-    auto failWith = [&](const std::string &why) {
-        error = why.empty() ? r.error : why;
-        if (error.empty())
-            error = "malformed scenario spec";
+    std::vector<JsonMember> members;
+    if (!jsonMembers(doc, members)) {
+        error = jsonValid(doc) ? "scenario spec must be a JSON object"
+                               : "scenario spec is not valid JSON";
         return false;
-    };
-
-    if (!r.expect('{'))
-        return failWith("");
-    if (r.peek() != '}') {
-        for (;;) {
-            std::string key;
-            if (!r.readString(key))
-                return failWith("");
-            if (!r.expect(':'))
-                return failWith("");
-
-            auto once = [&](bool &seen) {
-                if (seen) {
-                    r.fail("duplicate member '" + key + "'");
-                    return false;
-                }
-                seen = true;
-                return true;
-            };
-
-            uint64_t u = 0;
-            if (key == "family") {
-                std::string text;
-                if (!once(seen_family) || !r.readString(text))
-                    return failWith("");
-                if (!familyByName(text, parsed.family))
-                    return failWith("unknown family '" + text + "'");
-            } else if (key == "seed") {
-                if (!once(seen_seed) ||
-                    !r.readUint("seed", UINT64_MAX, parsed.seed))
-                    return failWith("");
-            } else if (key == "working_set") {
-                if (!once(seen_ws) ||
-                    !r.readUint("working_set", UINT32_MAX, u))
-                    return failWith("");
-                parsed.workingSet = static_cast<uint32_t>(u);
-            } else if (key == "hot_loads") {
-                if (!once(seen_hot) ||
-                    !r.readUint("hot_loads", UINT32_MAX, u))
-                    return failWith("");
-                parsed.hotLoads = static_cast<uint32_t>(u);
-            } else if (key == "strides") {
-                if (!once(seen_strides) ||
-                    !r.readUintArray("strides", UINT32_MAX,
-                                     parsed.strides))
-                    return failWith("");
-            } else if (key == "alias_density") {
-                if (!once(seen_alias) ||
-                    !r.readDouble("alias_density", parsed.aliasDensity))
-                    return failWith("");
-            } else if (key == "chase_depth") {
-                if (!once(seen_chase) ||
-                    !r.readUint("chase_depth", UINT32_MAX, u))
-                    return failWith("");
-                parsed.chaseDepth = static_cast<uint32_t>(u);
-            } else if (key == "branch_ratio") {
-                if (!once(seen_branch) ||
-                    !r.readDouble("branch_ratio", parsed.branchRatio))
-                    return failWith("");
-            } else if (key == "iterations") {
-                if (!once(seen_iter) ||
-                    !r.readUint("iterations", UINT32_MAX, u))
-                    return failWith("");
-                parsed.iterations = static_cast<uint32_t>(u);
-            } else {
-                return failWith("unknown member '" + key + "'");
-            }
-
-            char c = r.peek();
-            if (c == ',') {
-                ++r.pos;
-                continue;
-            }
-            if (c == '}')
-                break;
-            return failWith("expected ',' or '}'");
-        }
     }
-    ++r.pos; // closing brace
-    r.skipWs();
-    if (r.pos != doc.size())
-        return failWith("trailing content after spec object");
-
-    if (!seen_family)
-        return failWith("missing required member 'family'");
-    if (!seen_seed)
-        return failWith("missing required member 'seed'");
-
-    std::string invalid = validateSpec(parsed);
-    if (!invalid.empty())
-        return failWith(invalid);
-
+    ScenarioSpec parsed;
+    std::set<std::string> seen;
+    for (const JsonMember &m : members) {
+        error = seen.insert(m.key).second
+                    ? readSpecMember(m, parsed)
+                    : "duplicate member '" + m.key + "'";
+        if (!error.empty())
+            return false;
+    }
+    if (!seen.count("family"))
+        error = "missing required member 'family'";
+    else if (!seen.count("seed"))
+        error = "missing required member 'seed'";
+    else
+        error = validateSpec(parsed);
+    if (!error.empty())
+        return false;
     spec = parsed;
-    error.clear();
     return true;
 }
 

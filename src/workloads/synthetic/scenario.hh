@@ -101,8 +101,10 @@ struct ScenarioSpec
 std::string validateSpec(const ScenarioSpec &spec);
 
 /**
- * Strictly parse @p doc as a ScenarioSpec. `family` and `seed` are
- * required; all other members are optional and default as in the
+ * Strictly parse @p doc as a ScenarioSpec. The document must be one
+ * valid JSON object (read with support/json's reader, so every JSON
+ * escape is accepted and `+0.5` or `007` is not). `family` and `seed`
+ * are required; all other members are optional and default as in the
  * struct. Unknown members, duplicated members, type mismatches, and
  * out-of-range values fail with @p error set to a one-line reason.
  */

@@ -555,6 +555,55 @@ TEST(CampaignE2E, ResumeSkipsCompletedJobsAndFinishes)
     }
 }
 
+TEST(CampaignE2E, ResumeRerunsAJobLineCutMidRecord)
+{
+    // A coordinator killed mid-write leaves its last job line cut
+    // short. That job never settled on record, so --resume runs it
+    // again and its coverage reaches the closing metrics line.
+    std::string manifest = uniquePath("torn");
+    auto argv = campaignArgv(manifest, "tag-alias", 1, 1);
+    auto first = runSubprocess(argv);
+    ASSERT_EQ(first.status, SubprocessStatus::Exited) << first.err;
+    ASSERT_EQ(first.exitCode, 0) << first.err;
+    ManifestView whole = readManifest(manifest);
+    ASSERT_EQ(whole.jobLines.size(), 1u);
+    uint64_t runs = 0;
+    ASSERT_TRUE(jsonExtractUint(whole.lastMetrics,
+                                "elag_campaign_runs_total", runs));
+    ASSERT_GT(whole.jobLines[0].size(), 100u);
+    {
+        std::ofstream out(manifest, std::ios::trunc);
+        out << whole.jobLines[0].substr(0, 100);
+    }
+
+    argv.push_back("--resume");
+    auto second = runSubprocess(argv);
+    ASSERT_EQ(second.status, SubprocessStatus::Exited) << second.err;
+    EXPECT_EQ(second.exitCode, 0) << second.err;
+
+    // Every line but the torn fragment parses; the job ran once more.
+    std::ifstream in(manifest);
+    std::string line, type, metrics;
+    size_t jobs = 0, torn = 0;
+    while (std::getline(in, line)) {
+        if (!jsonValid(line)) {
+            ++torn;
+            continue;
+        }
+        ASSERT_TRUE(jsonExtractString(line, "type", type)) << line;
+        jobs += type == "job";
+        if (type == "metrics")
+            metrics = line;
+    }
+    EXPECT_EQ(torn, 1u);
+    EXPECT_EQ(jobs, 1u);
+    uint64_t resumed_runs = 0;
+    EXPECT_TRUE(jsonExtractUint(metrics, "elag_campaign_runs_total",
+                                resumed_runs))
+        << metrics;
+    EXPECT_EQ(resumed_runs, runs);
+}
+
 TEST(CampaignE2E, WorkerResumesFromItsCheckpoint)
 {
     std::string ckpt = uniquePath("worker") + ".ckpt";

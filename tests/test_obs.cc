@@ -228,6 +228,22 @@ TEST(ObsMetrics, RestoreCountersRejectsGarbage)
     EXPECT_EQ(registry.restoreCounters("not json"), 0u);
     EXPECT_EQ(registry.restoreCounters("[1,2,3]"), 0u);
     EXPECT_EQ(registry.restoreCounters("{}"), 0u);
+    EXPECT_EQ(registry.restoreCounters("{\"elag_cut_total\": 5"), 0u);
+}
+
+TEST(ObsMetrics, SnapshotLabelValuesDecodeEveryEscape)
+{
+    const obs::Labels labels = {{"why", "a\nb \"q\" \\"}};
+    obs::Registry source;
+    source.counter("elag_jobs_total", "h", labels).inc(4);
+    JsonWriter w(0);
+    source.writeCountersJson(w);
+
+    obs::Registry restored;
+    EXPECT_EQ(restored.restoreCounters(w.str()), 1u);
+    EXPECT_EQ(restored.counter("elag_jobs_total", "h", labels).value(),
+              4u)
+        << w.str();
 }
 
 // ---------------------------------------------------------------------------

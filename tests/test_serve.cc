@@ -263,7 +263,7 @@ TEST(Protocol, RequestRoundTrip)
 TEST(Protocol, SourceCannotSpoofScalarMembers)
 {
     // Protocol-looking text inside the shipped program must not leak
-    // into scalar fields: they are only read before `source`.
+    // into scalar fields: it is only ever the `source` string.
     Request request;
     request.verb = "compile";
     request.id = 7;
@@ -288,6 +288,48 @@ TEST(Protocol, RejectsMalformedRequests)
     EXPECT_FALSE(parseRequest("[1, 2, 3]", parsed, error));
     EXPECT_FALSE(parseRequest("{\"id\": 3}", parsed, error));
     EXPECT_FALSE(parsed.verb.empty() && error.empty());
+}
+
+TEST(Protocol, NonIntegerUnsignedMembersAreRejected)
+{
+    // Valid JSON numbers that are not unsigned integers must not be
+    // truncated into a different machine or instruction cap.
+    const char *const cases[][2] = {
+        {R"({"verb": "simulate", "max_inst": 1e9})", "max_inst"},
+        {R"({"verb": "simulate", "table": 3.9e2})", "table"},
+        {R"({"verb": "simulate", "id": 12.5})", "id"},
+    };
+    for (const auto &c : cases) {
+        Request parsed;
+        std::string error;
+        EXPECT_FALSE(parseRequest(c[0], parsed, error)) << c[0];
+        EXPECT_NE(error.find(c[1]), std::string::npos) << error;
+    }
+}
+
+TEST(Protocol, MembersMayComeInAnyOrder)
+{
+    Request parsed;
+    std::string error;
+    ASSERT_TRUE(parseRequest(
+        R"({"source": "int main() { return 0; }", "verb": "compile"})",
+        parsed, error))
+        << error;
+    EXPECT_EQ(parsed.verb, "compile");
+    EXPECT_EQ(parsed.source, "int main() { return 0; }");
+
+    // Machine knobs placed after the payload still apply.
+    Request knobs;
+    ASSERT_TRUE(parseRequest(
+        R"({"verb": "simulate", "source": "int main() { return 0; }",)"
+        R"( "table": 390, "regs": 4, "selection": "ev",)"
+        R"( "max_inst": 1000000000})",
+        knobs, error))
+        << error;
+    EXPECT_EQ(knobs.table, 390u);
+    EXPECT_EQ(knobs.regs, 4u);
+    EXPECT_EQ(knobs.selection, "ev");
+    EXPECT_EQ(knobs.maxInst, 1'000'000'000u);
 }
 
 TEST(Protocol, ResponseEnvelopesRoundTrip)

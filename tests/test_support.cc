@@ -10,7 +10,10 @@
 #include <cstdio>
 #include <functional>
 #include <set>
+#include <tuple>
 
+#include "obs/metrics.hh"
+#include "serve/protocol.hh"
 #include "support/hash.hh"
 #include "support/json.hh"
 #include "support/logging.hh"
@@ -19,6 +22,7 @@
 #include "support/strings.hh"
 #include "support/table.hh"
 #include "support/trace.hh"
+#include "workloads/synthetic/scenario.hh"
 
 using namespace elag;
 
@@ -393,6 +397,8 @@ TEST(Json, ExtractUint)
     EXPECT_EQ(v, 1250u);
     EXPECT_FALSE(jsonExtractUint(line, "id", v)) << "not a number";
     EXPECT_FALSE(jsonExtractUint(line, "nope", v));
+    EXPECT_FALSE(jsonExtractUint("{\"n\": 12.5}", "n", v))
+        << "not an integer";
 }
 
 TEST(Json, ExtractRoundTripsWriterEscapes)
@@ -448,6 +454,132 @@ TEST(Json, ExtractRawHandlesValueKinds)
     EXPECT_FALSE(jsonExtractRaw("{\"a\": 1}", "missing", raw));
     // Unbalanced nesting never matches.
     EXPECT_FALSE(jsonExtractRaw("{\"a\": [1, 2", "a", raw));
+}
+
+/** Every field of a request, for round-trip comparison. */
+auto
+requestFields(const serve::Request &r)
+{
+    return std::tie(r.verb, r.id, r.source, r.spec, r.file, r.machine,
+                    r.selection, r.table, r.regs, r.noOpt, r.noClassify,
+                    r.maxInst, r.deadlineMs, r.trace, r.format);
+}
+
+/** One document of each kind the program reads. */
+std::vector<std::string>
+fuzzSeeds()
+{
+    std::vector<std::string> seeds;
+    serve::Request request;
+    request.verb = "simulate";
+    request.id = 12;
+    request.table = 64;
+    request.trace = "t-1";
+    request.source = "int main() {\n\tprint(\"a\\b\");\x01 return 0; }";
+    seeds.push_back(serve::buildRequestDoc(request));
+    seeds.push_back(serve::okResponse(
+        request, "{\n  \"cycles\": 12,\n  \"ipc\": 0.5\n}"));
+    seeds.push_back(serve::errorResponse(
+        request, serve::errtype::Overloaded, "queue \"full\""));
+    for (const auto &info : workloads::synthetic::kernelFamilies()) {
+        seeds.push_back(
+            workloads::synthetic::sampleSpec(info.family, 3).toJson());
+    }
+    obs::Registry registry;
+    registry.counter("elag_fuzz_total", "h", {{"why", "a\nb\"c"}}).inc(7);
+    registry.counter("elag_plain_total", "h").inc(3);
+    JsonWriter w(0);
+    registry.writeCountersJson(w);
+    seeds.push_back(w.str());
+    return seeds;
+}
+
+/** One byte-level mutation of @p doc. */
+void
+mutate(std::string &doc, Pcg32 &rng)
+{
+    static const std::string alphabet =
+        "{}[]\":,\\0123456789-+.eEtfnu \n";
+    size_t at = doc.empty() ? 0 : rng.nextBounded(doc.size());
+    switch (rng.nextBounded(5)) {
+      case 0: // set a byte
+        if (!doc.empty())
+            doc[at] = static_cast<char>(rng.nextBounded(256));
+        break;
+      case 1: // flip a bit
+        if (!doc.empty())
+            doc[at] = static_cast<char>(doc[at] ^ (1 << rng.nextBounded(8)));
+        break;
+      case 2: // truncate
+        doc.resize(at);
+        break;
+      case 3: // insert a byte the grammar cares about
+        doc.insert(doc.begin() + static_cast<std::ptrdiff_t>(at),
+                   alphabet[rng.nextBounded(alphabet.size())]);
+        break;
+      default: // duplicate a short slice
+        doc.insert(at, doc.substr(at, 1 + rng.nextBounded(8)));
+        break;
+    }
+}
+
+TEST(Json, MutatedDocumentsParseOrRejectConsistently)
+{
+    // No consumer accepts a document the reader's validator rejects,
+    // and an accepted request or spec re-serializes and re-parses to
+    // the same value.
+    namespace syn = workloads::synthetic;
+    const std::vector<std::string> seeds = fuzzSeeds();
+    Pcg32 rng(2024);
+    size_t requests = 0, responses = 0, specs = 0, snapshots = 0;
+    for (int i = 0; i < 20'000; ++i) {
+        std::string doc = seeds[static_cast<size_t>(i) % seeds.size()];
+        mutate(doc, rng);
+        bool valid = jsonValid(doc);
+
+        std::string error;
+        serve::Request request;
+        serve::Response response;
+        syn::ScenarioSpec spec;
+        obs::Registry registry;
+        bool request_ok = serve::parseRequest(doc, request, error);
+        bool response_ok = serve::parseResponse(doc, response, error);
+        bool spec_ok = syn::parseScenarioSpec(doc, spec, error);
+        size_t restored = registry.restoreCounters(doc);
+        requests += request_ok;
+        responses += response_ok;
+        specs += spec_ok;
+        snapshots += restored > 0;
+
+        if (!valid) {
+            EXPECT_FALSE(request_ok) << doc;
+            EXPECT_FALSE(response_ok) << doc;
+            EXPECT_FALSE(spec_ok) << doc;
+            EXPECT_EQ(restored, 0u) << doc;
+            continue;
+        }
+        if (request_ok) {
+            serve::Request again;
+            ASSERT_TRUE(serve::parseRequest(serve::buildRequestDoc(request),
+                                            again, error))
+                << doc << ": " << error;
+            EXPECT_TRUE(requestFields(again) == requestFields(request))
+                << doc;
+        }
+        if (spec_ok) {
+            // toJson prints doubles with 12 significant digits, so the
+            // canonical document is the value compared.
+            syn::ScenarioSpec again;
+            ASSERT_TRUE(syn::parseScenarioSpec(spec.toJson(), again, error))
+                << doc << ": " << error;
+            EXPECT_EQ(again.toJson(), spec.toJson()) << doc;
+        }
+    }
+    // Every consumer saw mutants it accepted, not only rejections.
+    EXPECT_GT(requests, 0u);
+    EXPECT_GT(responses, 0u);
+    EXPECT_GT(specs, 0u);
+    EXPECT_GT(snapshots, 0u);
 }
 
 /** Capture trace output into a buffer via a tmpfile. */

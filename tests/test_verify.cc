@@ -295,21 +295,6 @@ const char *kSmallLoop =
 
 } // namespace
 
-TEST(Watchdog, RetireLimitThrowsWithKindAndLimit)
-{
-    auto prog = sim::compile(kSmallLoop);
-    sim::Watchdog wd;
-    wd.maxRetires = 50;
-    try {
-        sim::runTimed(prog, pipeline::MachineConfig::proposed(),
-                      1'000'000, {}, wd);
-        FAIL() << "watchdog did not trip";
-    } catch (const sim::SimTimeoutError &e) {
-        EXPECT_EQ(e.kind(), sim::SimTimeoutError::Kind::Retires);
-        EXPECT_EQ(e.limit(), 50u);
-    }
-}
-
 TEST(Watchdog, CycleLimitCatchesInfiniteProgram)
 {
     auto prog = sim::compile("int main() {\n"

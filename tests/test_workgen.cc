@@ -119,6 +119,8 @@ TEST(ScenarioSpec, StrictParserRejectsBadDocuments)
         R"({"family": "strided", "seed": 1, "iterations": 1e3})",
         R"({"family": "strided", "seed": "7"})",     // wrong type
         R"({"family": 3, "seed": 1})",               // wrong type
+        R"({"family": "strided", "seed": 1, "alias_density": +0.5})",
+        R"({"family": "strided", "seed": 007})",     // not JSON
     };
     for (const char *doc : rejects) {
         ScenarioSpec spec;
@@ -127,6 +129,17 @@ TEST(ScenarioSpec, StrictParserRejectsBadDocuments)
             << "accepted: " << doc;
         EXPECT_FALSE(error.empty()) << doc;
     }
+}
+
+TEST(ScenarioSpec, AcceptsEveryJsonEscape)
+{
+    ScenarioSpec spec;
+    std::string error;
+    ASSERT_TRUE(parseScenarioSpec(
+        R"({"family": "\u0073trided", "s\u0065ed": 5})", spec, error))
+        << error;
+    EXPECT_EQ(spec.family, KernelFamily::StridedWalk);
+    EXPECT_EQ(spec.seed, 5u);
 }
 
 TEST(ScenarioSpec, FamilyNamesRoundTrip)

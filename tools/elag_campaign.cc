@@ -524,7 +524,7 @@ struct CampaignOptions
  * Append-only JSONL result log. Every record is one line, written
  * under a mutex and flushed immediately, so a SIGKILLed coordinator
  * loses at most the line being written — everything already logged
- * survives for --resume.
+ * survives for --resume, which skips a line cut off mid-record.
  */
 class Manifest
 {
@@ -532,7 +532,19 @@ class Manifest
     bool
     open(const std::string &path)
     {
+        // End a record cut off mid-write so the next one starts a
+        // line of its own instead of joining the torn fragment.
+        bool torn = false;
+        {
+            std::ifstream in(path, std::ios::binary | std::ios::ate);
+            if (in && in.tellg() > 0) {
+                in.seekg(-1, std::ios::end);
+                torn = in.get() != '\n';
+            }
+        }
         file.open(path, std::ios::app);
+        if (torn)
+            file << '\n';
         return static_cast<bool>(file);
     }
 
@@ -1025,7 +1037,9 @@ Coordinator::run()
     // (job lines are only appended after retries settle), so skip it
     // and count it again. Job lines are flushed as jobs settle, so
     // counting them, not the closing metrics line, also covers an
-    // invocation that was killed before writing that line.
+    // invocation that was killed before writing that line. A job line
+    // cut off mid-record is not valid JSON, so the extractors skip it
+    // and that job runs again.
     std::set<std::string> done;
     if (opts.resume) {
         std::ifstream in(opts.manifestPath);
