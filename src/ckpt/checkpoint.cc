@@ -64,9 +64,7 @@ void
 CheckpointWriter::writeFile(const std::string &path) const
 {
     std::string body = container();
-    std::string tmp =
-        formatString("%s.tmp.%d", path.c_str(),
-                     static_cast<int>(::getpid()));
+    std::string tmp = path + ".tmp";
 
     int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
     if (fd < 0) {
@@ -265,6 +263,13 @@ fileExists(const std::string &path)
 {
     struct stat st;
     return ::stat(path.c_str(), &st) == 0;
+}
+
+void
+removeSnapshot(const std::string &path)
+{
+    ::unlink(path.c_str());
+    ::unlink((path + ".tmp").c_str());
 }
 
 } // namespace ckpt

@@ -74,10 +74,10 @@ class CheckpointWriter
     std::string container() const;
 
     /**
-     * Atomically write the container to @p path (temp file + fsync +
-     * rename). Throws CkptError(Io) on any filesystem failure; the
-     * previous file at @p path survives a failed or interrupted
-     * write.
+     * Atomically write the container to @p path (temp file
+     * `<path>.tmp` + fsync + rename). Throws CkptError(Io) on any
+     * filesystem failure; the previous file at @p path survives a
+     * failed or interrupted write.
      */
     void writeFile(const std::string &path) const;
 
@@ -132,6 +132,12 @@ class CheckpointReader
 
 /** @return true when @p path exists (resume-candidate probing). */
 bool fileExists(const std::string &path);
+
+/**
+ * Delete the snapshot at @p path and the `<path>.tmp` a writer killed
+ * mid-write leaves beside it. Missing files are not an error.
+ */
+void removeSnapshot(const std::string &path);
 
 } // namespace ckpt
 } // namespace elag

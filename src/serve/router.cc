@@ -1,7 +1,6 @@
 #include "serve/router.hh"
 
 #include "ckpt/checkpoint.hh"
-#include "obs/metrics.hh"
 #include "obs/span.hh"
 #include "serve/routing.hh"
 #include "sim/ckpt_run.hh"
@@ -27,21 +26,6 @@ compileRequest(const Request &request)
         copts.opt = opt::OptConfig::noneEnabled();
     copts.runClassifier = !request.noClassify;
     return sim::compile(request.source, copts);
-}
-
-/** Generate-memo hit/miss counters, registered on first use. */
-obs::Counter &
-generateMemoCounter(bool hit)
-{
-    static obs::Counter &hits = obs::Registry::process().counter(
-        "elag_serve_generate_memo_total",
-        "Generate-verb memo lookups, by outcome.",
-        {{"outcome", "hit"}});
-    static obs::Counter &misses = obs::Registry::process().counter(
-        "elag_serve_generate_memo_total",
-        "Generate-verb memo lookups, by outcome.",
-        {{"outcome", "miss"}});
-    return hit ? hits : misses;
 }
 
 } // anonymous namespace
@@ -185,18 +169,6 @@ Router::generate(const Request &request, uint64_t persist_key) const
 {
     if (request.spec.empty())
         fatal("verb 'generate' requires a 'spec' member");
-    if (persist_key == 0)
-        persist_key = persistKey(request);
-
-    {
-        std::lock_guard<std::mutex> lock(genMu);
-        auto it = genMemo.find(persist_key);
-        if (it != genMemo.end()) {
-            generateMemoCounter(true).inc();
-            return it->second;
-        }
-    }
-    generateMemoCounter(false).inc();
 
     workloads::synthetic::ScenarioSpec spec;
     std::string error;
@@ -219,15 +191,6 @@ Router::generate(const Request &request, uint64_t persist_key) const
     w.field("source", gen.source);
     w.endObject();
     std::string doc = w.str();
-
-    {
-        std::lock_guard<std::mutex> lock(genMu);
-        // Bound the memo: generated documents are small, but the
-        // spec space is unbounded.
-        if (genMemo.size() >= 256)
-            genMemo.erase(genMemo.begin());
-        genMemo.emplace(persist_key, doc);
-    }
     if (cfg.persist)
         cfg.persist->append(persist_key, doc);
     return doc;

@@ -19,8 +19,6 @@
 #define ELAG_SERVE_ROUTER_HH
 
 #include <cstdint>
-#include <map>
-#include <mutex>
 #include <string>
 
 #include "cache/persistent_store.hh"
@@ -92,20 +90,14 @@ class Router
                                      const sim::Watchdog &watchdog)
         const;
 
-    /** `generate`: spec -> rendered scenario document, memoized. */
+    /**
+     * `generate`: spec -> rendered scenario document, appended to the
+     * durable tier under @p persist_key when one is configured.
+     */
     std::string generate(const Request &request,
                          uint64_t persist_key) const;
 
     RouterConfig cfg;
-
-    /**
-     * Bounded in-process memo of rendered generate documents, keyed
-     * by the persistent-tier content key. Generation is cheap, but
-     * the memo makes repeat hits observable (and byte-stable) even
-     * without a --cache-dir durable tier behind the router.
-     */
-    mutable std::mutex genMu;
-    mutable std::map<uint64_t, std::string> genMemo;
 };
 
 } // namespace serve

@@ -1,8 +1,7 @@
 #include "sim/ckpt_run.hh"
 
-#include <unistd.h>
-
 #include "ckpt/checkpoint.hh"
+#include "obs/span.hh"
 #include "sim/run_cache.hh"
 #include "support/hash.hh"
 #include "support/logging.hh"
@@ -96,22 +95,41 @@ ResumableTimedRun::step(uint64_t budget, const Watchdog &watchdog)
     uint64_t left = maxInst_ - acc_.instructions;
     uint64_t chunk = budget < left ? budget : left;
 
-    // Watchdog limits are enforced per retire, exactly like the
-    // instrumented path of runTimed(): maxCycles bounds the whole
-    // (possibly resumed) run, the wall clock covers this process's
-    // attempt.
-    uint64_t before = acc_.instructions;
-    uint64_t local = 0;
-    bool guarded = watchdog.maxCycles || watchdog.maxWallMs;
-
-    EmulationResult part = emu_.run(
-        chunk, [&](const pipeline::RetiredInst &ri) {
+    obs::SpanTracer &tracer = obs::SpanTracer::process();
+    const bool tracing = tracer.enabled();
+    EmulationResult part;
+    if (!watchdog.maxCycles && !watchdog.maxWallMs && !tracing) {
+        // Most runs arm no watchdog and no tracer; keep the per-retire
+        // callback down to the pipeline hand-off in that case.
+        part = emu_.run(chunk, [&](const pipeline::RetiredInst &ri) {
             pipe_.retire(ri);
-            if (!guarded)
-                return;
-            ++local;
-            uint64_t total = before + local;
-            if (watchdog.maxWallMs && (total & 0xfff) == 0) {
+        });
+    } else {
+        // With the tracer armed, cut the step into slice spans so a
+        // long simulation shows progress structure in the trace viewer
+        // instead of one opaque block; the step closes its last,
+        // partial slice. maxCycles bounds the whole (possibly resumed)
+        // run, the wall clock this process's attempt.
+        constexpr uint64_t kSliceRetires = 1u << 20;
+        uint64_t retired = acc_.instructions;
+        uint64_t sliceBase = retired;
+        uint64_t sliceStartUs = tracing ? tracer.nowMicros() : 0;
+        auto closeSlice = [&] {
+            uint64_t now = tracer.nowMicros();
+            tracer.record("sim.slice", "sim", sliceStartUs,
+                          now - sliceStartUs,
+                          {{"retired", std::to_string(retired)},
+                           {"cycle",
+                            std::to_string(pipe_.currentCycle())}});
+            sliceStartUs = now;
+            sliceBase = retired;
+        };
+        part = emu_.run(chunk, [&](const pipeline::RetiredInst &ri) {
+            pipe_.retire(ri);
+            ++retired;
+            if (tracing && retired - sliceBase >= kSliceRetires)
+                closeSlice();
+            if (watchdog.maxWallMs && (retired & 0xfff) == 0) {
                 auto elapsed =
                     std::chrono::duration_cast<std::chrono::milliseconds>(
                         std::chrono::steady_clock::now() - wallStart_)
@@ -136,6 +154,9 @@ ResumableTimedRun::step(uint64_t budget, const Watchdog &watchdog)
                                      watchdog.maxCycles)));
             }
         });
+        if (tracing && retired > sliceBase)
+            closeSlice();
+    }
 
     acc_.instructions += part.instructions;
     acc_.output.insert(acc_.output.end(), part.output.begin(),
@@ -189,6 +210,26 @@ constexpr char kSecTele[5] = "TELE"; ///< load telemetry table
 constexpr char kSecChkr[5] = "CHKR"; ///< invariant-checker shadows
 constexpr char kSecFalt[5] = "FALT"; ///< fault-injector stream
 
+/**
+ * Restore @p observer from section @p tag when it is attached; a
+ * snapshot taken without it cannot resume a run that has it.
+ */
+template <typename T>
+void
+restoreAttached(const ckpt::CheckpointReader &ck, const char (&tag)[5],
+                T *observer, const char *what)
+{
+    if (!observer)
+        return;
+    if (!ck.has(tag)) {
+        throw ckpt::CkptError(
+            ckpt::ErrorKind::Mismatch,
+            formatString("checkpoint carries no %s section", what));
+    }
+    ckpt::Reader r = ck.section(tag);
+    observer->restore(r);
+}
+
 } // anonymous namespace
 
 CkptStatsOutcome
@@ -209,8 +250,8 @@ runTimedCheckpointed(const CompiledProgram &prog,
 
     // Phase 0 runs the baseline machine observer-free; phase 1 runs
     // the configured machine with the observers attached — the same
-    // structure (and hence the same event streams) as the
-    // non-checkpointed elagc stats path.
+    // structure (and hence the same event streams) as the served
+    // path's two RunCache runs.
     ResumableTimedRun baseRun(prog, baseline, max_instructions);
     ResumableTimedRun timedRun(prog, machine, max_instructions);
     if (telemetry)
@@ -246,33 +287,9 @@ runTimedCheckpointed(const CompiledProgram &prog,
             sim::restore(bs, out.base.emulation);
             ckpt::Reader runs = ck.section(kSecRuns);
             timedRun.restore(runs);
-            if (telemetry) {
-                if (!ck.has(kSecTele)) {
-                    throw ckpt::CkptError(
-                        ckpt::ErrorKind::Mismatch,
-                        "checkpoint carries no telemetry section");
-                }
-                ckpt::Reader t = ck.section(kSecTele);
-                telemetry->restore(t);
-            }
-            if (checker) {
-                if (!ck.has(kSecChkr)) {
-                    throw ckpt::CkptError(
-                        ckpt::ErrorKind::Mismatch,
-                        "checkpoint carries no checker section");
-                }
-                ckpt::Reader c = ck.section(kSecChkr);
-                checker->restore(c);
-            }
-            if (injector) {
-                if (!ck.has(kSecFalt)) {
-                    throw ckpt::CkptError(
-                        ckpt::ErrorKind::Mismatch,
-                        "checkpoint carries no fault-injector section");
-                }
-                ckpt::Reader f = ck.section(kSecFalt);
-                injector->restore(f);
-            }
+            restoreAttached(ck, kSecTele, telemetry, "telemetry");
+            restoreAttached(ck, kSecChkr, checker, "checker");
+            restoreAttached(ck, kSecFalt, injector, "fault-injector");
         }
         out.resumed = true;
     }
@@ -293,11 +310,7 @@ runTimedCheckpointed(const CompiledProgram &prog,
                 pipeline::serialize(bs, out.base.pipe);
                 sim::serialize(bs, out.base.emulation);
             }
-            ckpt::Writer &runs = cw.section(kSecRuns);
-            if (ph == 0)
-                baseRun.serialize(runs);
-            else
-                timedRun.serialize(runs);
+            (ph == 0 ? baseRun : timedRun).serialize(cw.section(kSecRuns));
             if (ph == 1) {
                 if (telemetry)
                     telemetry->serialize(cw.section(kSecTele));
@@ -309,7 +322,6 @@ runTimedCheckpointed(const CompiledProgram &prog,
             cw.writeFile(policy.path);
             ++out.snapshots;
         } catch (const ckpt::CkptError &e) {
-            ++out.snapshotFailures;
             warn("checkpoint snapshot to '%s' failed (%s): %s",
                  policy.path.c_str(), ckpt::name(e.kind()), e.what());
         }
@@ -318,40 +330,32 @@ runTimedCheckpointed(const CompiledProgram &prog,
     const uint64_t chunk =
         policy.everyRetires ? policy.everyRetires : kDefaultCkptRetires;
 
-    if (phase == 0) {
-        while (!baseRun.done()) {
-            baseRun.step(chunk, watchdog);
-            if (baseRun.done())
+    // One chunk loop for both phases: each boundary polls for an
+    // interrupt, then snapshots, so an interrupted run stays resumable.
+    for (;;) {
+        ResumableTimedRun &run = phase == 0 ? baseRun : timedRun;
+        run.step(chunk, watchdog);
+        if (run.done()) {
+            if (phase == 1)
                 break;
-            if (policy.interrupted && policy.interrupted()) {
-                snapshot(0);
-                out.interrupted = true;
-                return out;
-            }
-            snapshot(0);
-        }
-        out.base = baseRun.finish();
-        phase = 1;
-        // Persist the phase transition so a kill early in the timed
-        // run resumes past the whole baseline.
-        snapshot(1);
-    }
-
-    while (!timedRun.done()) {
-        timedRun.step(chunk, watchdog);
-        if (timedRun.done())
-            break;
-        if (policy.interrupted && policy.interrupted()) {
+            out.base = baseRun.finish();
+            phase = 1;
+            // Persist the phase transition so a kill early in the timed
+            // run resumes past the whole baseline.
             snapshot(1);
+            continue;
+        }
+        bool stop = policy.interrupted && policy.interrupted();
+        snapshot(phase);
+        if (stop) {
             out.interrupted = true;
             return out;
         }
-        snapshot(1);
     }
     out.timed = timedRun.finish();
 
     if (!policy.path.empty())
-        ::unlink(policy.path.c_str());
+        ckpt::removeSnapshot(policy.path);
     return out;
 }
 

@@ -1,13 +1,18 @@
 /**
  * @file
- * Crash-safe checkpointed timed simulation.
+ * The timed-run loop, and crash-safe checkpointed timed simulation.
  *
- * A timed stats run (the engine behind `elagc --json-stats` and the
- * daemon's `simulate` verb) is two sequential simulations — the
- * baseline machine, then the configured machine with telemetry and
- * optional verification observers attached. runTimedCheckpointed()
- * executes the same two runs in fixed-size retire chunks and writes a
- * durable snapshot of the complete simulation state between chunks:
+ * ResumableTimedRun::step() is the one place emulator retires feed a
+ * Pipeline: sim::runTimed() steps one run to completion, and
+ * runTimedCheckpointed() steps two in chunks.
+ *
+ * A timed stats run (the engine behind `elagc --json-stats`, with or
+ * without checkpoint flags, and the daemon's checkpointed `simulate`
+ * verb) is two sequential simulations — the baseline machine, then
+ * the configured machine with telemetry and optional verification
+ * observers attached. runTimedCheckpointed() executes the two runs in
+ * fixed-size retire chunks and can write a durable snapshot of the
+ * complete simulation state between chunks:
  * architectural state (PC, register files, memory image), the full
  * timing model (caches, BTB, predictor tables, booking ring,
  * in-flight stores, issue/fetch frontiers, aggregate stats), and
@@ -104,9 +109,12 @@ class ResumableTimedRun
     void attach(pipeline::Observer *observer);
 
     /**
-     * Retire up to @p budget more instructions. Watchdog limits are
-     * enforced per retire exactly as in runTimed(); maxCycles counts
-     * the whole (resumed) run, maxWallMs this process's attempt only.
+     * Retire up to @p budget more instructions. With no watchdog limit
+     * and no span tracer armed, each retire is only the pipeline
+     * hand-off. Otherwise maxCycles is checked per retire over the
+     * whole (resumed) run, maxWallMs every 4,096 retires against this
+     * process's attempt, and an armed tracer records a `sim.slice`
+     * span per 2^20 retires plus one for the step's remainder.
      */
     void step(uint64_t budget, const Watchdog &watchdog);
 
@@ -172,8 +180,6 @@ struct CkptStatsOutcome
      */
     bool interrupted = false;
     uint32_t snapshots = 0;
-    /** Snapshot writes that failed (warned, never fatal). */
-    uint32_t snapshotFailures = 0;
 };
 
 /**

@@ -167,21 +167,6 @@ struct TimedResult
     EmulationResult emulation;
 };
 
-/** Emulation-driven timed run on the given machine. */
-TimedResult runTimed(const CompiledProgram &prog,
-                     const pipeline::MachineConfig &machine,
-                     uint64_t max_instructions = 500'000'000);
-
-/**
- * Timed run with pipeline observers attached (telemetry, custom
- * tooling). Observers must outlive the call; they receive every
- * pipeline event of the run.
- */
-TimedResult runTimed(const CompiledProgram &prog,
-                     const pipeline::MachineConfig &machine,
-                     uint64_t max_instructions,
-                     const std::vector<pipeline::Observer *> &observers);
-
 /**
  * Thrown by a watchdog-guarded run whose program exceeded a limit —
  * a hung or runaway simulation, distinct from both user error
@@ -225,14 +210,19 @@ struct Watchdog
 };
 
 /**
- * Timed run guarded by a watchdog: throws SimTimeoutError as soon as
- * a limit is exceeded mid-run.
+ * Emulation-driven timed run on the given machine: one
+ * ResumableTimedRun (sim/ckpt_run.hh) stepped to completion, so it
+ * shares its retire loop with checkpointed runs. @p observers
+ * (telemetry, checkers, custom tooling) must outlive the call; they
+ * receive every pipeline event of the run. @p watchdog throws
+ * SimTimeoutError as soon as a limit is exceeded mid-run.
  */
-TimedResult runTimed(const CompiledProgram &prog,
-                     const pipeline::MachineConfig &machine,
-                     uint64_t max_instructions,
-                     const std::vector<pipeline::Observer *> &observers,
-                     const Watchdog &watchdog);
+TimedResult
+runTimed(const CompiledProgram &prog,
+         const pipeline::MachineConfig &machine,
+         uint64_t max_instructions = 500'000'000,
+         const std::vector<pipeline::Observer *> &observers = {},
+         const Watchdog &watchdog = {});
 
 /**
  * The machine behind the CLI and protocol knobs shared by elagc,

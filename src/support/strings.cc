@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <cstdio>
+#include <cstring>
 
 namespace elag {
 
@@ -51,6 +52,34 @@ parseUint32(const std::string &s, uint32_t &out)
         return false;
     out = static_cast<uint32_t>(wide);
     return true;
+}
+
+namespace {
+
+bool
+badNumericFlag(const char *tool, const std::string &arg)
+{
+    std::fprintf(stderr, "%s: invalid numeric value in '%s'\n", tool,
+                 arg.c_str());
+    return false;
+}
+
+} // anonymous namespace
+
+bool
+parseNumericFlag(const char *tool, const std::string &arg,
+                 const char *prefix, uint32_t &out)
+{
+    return parseUint32(arg.substr(std::strlen(prefix)), out) ||
+           badNumericFlag(tool, arg);
+}
+
+bool
+parseNumericFlag(const char *tool, const std::string &arg,
+                 const char *prefix, uint64_t &out)
+{
+    return parseUint64(arg.substr(std::strlen(prefix)), out) ||
+           badNumericFlag(tool, arg);
 }
 
 std::string

@@ -46,6 +46,19 @@ bool parseUint64(const std::string &s, uint64_t &out);
 /** parseUint64 with an additional max bound of UINT32_MAX. */
 bool parseUint32(const std::string &s, uint32_t &out);
 
+/**
+ * Strict numeric command-line flag: parse what follows @p prefix in
+ * @p arg with parseUint32/parseUint64, so "--seed=12abc", "--table="
+ * and out-of-range values never silently truncate. On failure prints
+ * "<tool>: invalid numeric value in '<arg>'" to stderr and returns
+ * false, leaving @p out untouched; the tools treat that as a usage
+ * error (exit 2).
+ */
+bool parseNumericFlag(const char *tool, const std::string &arg,
+                      const char *prefix, uint32_t &out);
+bool parseNumericFlag(const char *tool, const std::string &arg,
+                      const char *prefix, uint64_t &out);
+
 /** Format a double with fixed precision. */
 std::string formatDouble(double v, int precision);
 

@@ -14,6 +14,11 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
+#include <fstream>
+
+#include <dirent.h>
+#include <unistd.h>
 
 #include "ckpt/checkpoint.hh"
 #include "ckpt/serial.hh"
@@ -22,6 +27,7 @@
 #include "sim/simulator.hh"
 #include "support/random.hh"
 #include "support/stats.hh"
+#include "support/strings.hh"
 #include "verify/ckpt_diff.hh"
 #include "verify/fault_injector.hh"
 
@@ -490,6 +496,42 @@ TEST(CkptEquivalence, HoldsAtOddBoundariesAndWithChecker)
         kProgram, path, 500'000'000, 7'777, /*with_checker=*/true);
     EXPECT_GT(diff.legs, 0u);
     EXPECT_TRUE(diff.equivalent) << diff.detail;
+}
+
+TEST(CkptEquivalence, CompletedRunLeavesNoSnapshotOrTempFile)
+{
+    std::string dir = tempPath("ckpt_clean_XXXXXX");
+    ASSERT_NE(::mkdtemp(dir.data()), nullptr);
+    std::string path = dir + "/run.ckpt";
+    // What a writer SIGKILLed between open and rename leaves behind.
+    {
+        std::ofstream torn(path + ".tmp");
+        torn << "ELAGCKPT half-written";
+    }
+
+    sim::CompiledProgram prog = sim::compile(kProgram);
+    pipeline::LoadTelemetry telemetry;
+    sim::CkptPolicy policy;
+    policy.path = path;
+    policy.everyRetires = 10'000;
+    sim::CkptStatsOutcome out = sim::runTimedCheckpointed(
+        prog, pipeline::MachineConfig::proposed(),
+        pipeline::MachineConfig::baseline(), 500'000'000, &telemetry,
+        nullptr, nullptr, {}, policy);
+    ASSERT_FALSE(out.interrupted);
+    EXPECT_GT(out.snapshots, 0u);
+
+    std::vector<std::string> left;
+    DIR *d = ::opendir(dir.c_str());
+    ASSERT_NE(d, nullptr);
+    while (const dirent *e = ::readdir(d)) {
+        if (std::strcmp(e->d_name, ".") != 0 &&
+            std::strcmp(e->d_name, "..") != 0)
+            left.push_back(e->d_name);
+    }
+    ::closedir(d);
+    EXPECT_TRUE(left.empty()) << joinStrings(left, " ");
+    ::rmdir(dir.c_str());
 }
 
 TEST(CkptEquivalence, RunKeyHashHasKnownAnswer)

@@ -3,15 +3,23 @@
  * Simulator-façade tests: compile options, determinism of emulation
  * across machine models (timing never changes architecture), load
  * routing that must leave baseline timing unchanged, the
- * profile/reclassify/regenerate loop, and speedup accounting.
+ * profile/reclassify/regenerate loop, speedup accounting, and the
+ * one timed-run loop behind plain, served and checkpointed runs.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+
 #include "isa/builder.hh"
+#include "obs/span.hh"
+#include "sim/ckpt_run.hh"
 #include "sim/run_cache.hh"
 #include "sim/simulator.hh"
+#include "support/json.hh"
 #include "support/logging.hh"
+#include "verify/invariant_checker.hh"
 #include "verify/program_gen.hh"
 #include "workloads/synthetic/generator.hh"
 #include "workloads/workloads.hh"
@@ -269,4 +277,131 @@ TEST(Sim, ContentHashesHaveKnownAnswers)
     EXPECT_EQ(sim::hashProgram(prog), 0xde098ba0bed159a9ull);
     EXPECT_EQ(sim::hashConfig(MachineConfig::proposed()),
               0x942dfb2b69f6e601ull);
+}
+
+TEST(Sim, ServedAndCheckpointedStatsRunsAgree)
+{
+    // elagd's simulate renders two RunCache runs; elagc --json-stats
+    // renders runTimedCheckpointed. Both must give one document, at
+    // any chunk size and with the invariant checker riding along.
+    namespace synthetic = workloads::synthetic;
+    std::vector<std::pair<std::string, std::string>> programs;
+    for (const char *name : {"gs", "130.li", "022.li"}) {
+        const auto *w = workloads::findWorkload(name);
+        ASSERT_NE(w, nullptr);
+        programs.emplace_back(name, w->source);
+    }
+    programs.emplace_back(
+        "chase",
+        synthetic::generateScenario(
+            synthetic::sampleSpec(synthetic::KernelFamily::PointerChase, 3))
+            .source);
+
+    const uint64_t cap = 500'000'000;
+    MachineConfig machine = sim::machineConfig("proposed", "");
+    MachineConfig baseline = MachineConfig::baseline();
+    for (const auto &[label, source] : programs) {
+        sim::CompiledProgram prog = sim::compile(source);
+        auto &cache = sim::RunCache::instance();
+        sim::TimedResult base = cache.run(prog, baseline, cap);
+        sim::RunCache::Report report = cache.runReport(prog, machine, cap);
+        std::string served = sim::statsReportJson(
+            label, "proposed", "", prog, base, report.timed,
+            report.telemetry);
+
+        for (uint64_t every : {uint64_t{0}, uint64_t{4'099}}) {
+            for (bool withChecker : {false, true}) {
+                pipeline::LoadTelemetry telemetry;
+                verify::InvariantChecker checker;
+                sim::CkptPolicy policy;
+                policy.everyRetires = every;
+                sim::CkptStatsOutcome out = sim::runTimedCheckpointed(
+                    prog, machine, baseline, cap, &telemetry,
+                    withChecker ? &checker : nullptr, nullptr, {},
+                    policy);
+                EXPECT_EQ(sim::statsReportJson(label, "proposed", "", prog,
+                                               out.base, out.timed,
+                                               telemetry),
+                          served)
+                    << label << " every=" << every
+                    << " checker=" << withChecker;
+            }
+        }
+    }
+}
+
+namespace {
+
+/** The `retired` argument of each recorded sim.slice span, in order. */
+std::vector<uint64_t>
+sliceRetires(const std::string &trace)
+{
+    std::string events;
+    std::vector<std::string> items;
+    EXPECT_TRUE(jsonExtractRaw(trace, "traceEvents", events));
+    EXPECT_TRUE(jsonElements(events, items));
+    std::vector<uint64_t> retired;
+    for (const std::string &ev : items) {
+        std::string name, value;
+        if (jsonExtractString(ev, "name", name) && name == "sim.slice" &&
+            jsonExtractString(ev, "retired", value))
+            retired.push_back(std::stoull(value));
+    }
+    return retired;
+}
+
+/** Expect @p retired to rise strictly and end at @p total. */
+void
+expectSlicesCover(const std::vector<uint64_t> &retired, uint64_t total)
+{
+    ASSERT_GE(retired.size(), 3u);
+    EXPECT_TRUE(std::adjacent_find(retired.begin(), retired.end(),
+                                   std::greater_equal<uint64_t>()) ==
+                retired.end());
+    EXPECT_EQ(retired.back(), total);
+}
+
+} // namespace
+
+TEST(Sim, SliceSpansCoverCheckpointedRuns)
+{
+    // An armed span tracer cuts every timed run into sim.slice spans,
+    // checkpointed or not, so a trace shows where host time went.
+    auto prog = sim::compile(R"(
+        int main() {
+            int sum = 0;
+            for (int i = 0; i < 600000; i++)
+                sum += i & 7;
+            print(sum);
+            return 0;
+        }
+    )");
+    obs::SpanTracer &tracer = obs::SpanTracer::process();
+    tracer.reset();
+    tracer.enable("/dev/null");
+    sim::TimedResult plain =
+        sim::runTimed(prog, MachineConfig::proposed());
+    std::vector<uint64_t> plainSlices = sliceRetires(tracer.json());
+    tracer.reset();
+
+    ASSERT_GT(plain.emulation.instructions, uint64_t{1} << 21);
+    expectSlicesCover(plainSlices, plain.emulation.instructions);
+
+    // Chunks of 1.5M retires: slices restart at each step and carry
+    // the run's cumulative count, baseline run first, then the timed.
+    pipeline::LoadTelemetry telemetry;
+    sim::CkptPolicy policy;
+    policy.everyRetires = 1'500'000;
+    tracer.enable("/dev/null");
+    sim::CkptStatsOutcome out = sim::runTimedCheckpointed(
+        prog, MachineConfig::proposed(), MachineConfig::baseline(),
+        500'000'000, &telemetry, nullptr, nullptr, {}, policy);
+    std::vector<uint64_t> slices = sliceRetires(tracer.json());
+    tracer.reset();
+
+    auto split = std::is_sorted_until(slices.begin(), slices.end());
+    expectSlicesCover({slices.begin(), split},
+                      out.base.emulation.instructions);
+    expectSlicesCover({split, slices.end()},
+                      out.timed.emulation.instructions);
 }

@@ -205,6 +205,34 @@ TEST(Strings, ParseUint32BoundsAtUint32Max)
     EXPECT_EQ(v, UINT32_MAX);
 }
 
+TEST(Strings, ParseNumericFlagRejectsWithTheToolsMessage)
+{
+    uint32_t narrow = 64;
+    uint64_t wide = 4294967296u;
+    auto rejects = [](const char *arg, auto &out) {
+        testing::internal::CaptureStderr();
+        EXPECT_FALSE(parseNumericFlag("elag_client", arg, "--n=", out))
+            << arg;
+        EXPECT_EQ(testing::internal::GetCapturedStderr(),
+                  std::string("elag_client: invalid numeric value in '") +
+                      arg + "'\n");
+    };
+    for (const char *arg : {"--n=12abc", "--n=", "--n=-1", "--n=4294967296"})
+        rejects(arg, narrow);
+    for (const char *arg :
+         {"--n=12abc", "--n=", "--n=-1", "--n=18446744073709551616"})
+        rejects(arg, wide);
+    EXPECT_EQ(narrow, 64u) << "failed parse must not clobber out";
+    EXPECT_EQ(wide, 4294967296u) << "failed parse must not clobber out";
+
+    EXPECT_TRUE(parseNumericFlag("elagc", "--table=4294967295", "--table=",
+                                 narrow));
+    EXPECT_EQ(narrow, UINT32_MAX);
+    EXPECT_TRUE(parseNumericFlag("elagd", "--deadline-ms=+7",
+                                 "--deadline-ms=", wide));
+    EXPECT_EQ(wide, 7u);
+}
+
 TEST(Strings, FormatPercent)
 {
     EXPECT_EQ(formatPercent(0.9301), "93.01");

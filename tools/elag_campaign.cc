@@ -455,7 +455,7 @@ runWorker(const WorkerOptions &opts)
         }
     }
     if (!opts.checkpointPath.empty())
-        std::remove(opts.checkpointPath.c_str());
+        ckpt::removeSnapshot(opts.checkpointPath);
 
     // Machine-readable success line, spliced into the job's manifest
     // line by the coordinator.

@@ -92,25 +92,6 @@ usage()
         "                   [--trace-out=FILE] [--quiet]\n");
 }
 
-/** Strict numeric option parsing, as in elagc: exit 2 on junk. */
-template <typename T>
-bool
-numericOption(const std::string &arg, const char *prefix, T &out)
-{
-    std::string text = arg.substr(std::strlen(prefix));
-    bool ok;
-    if constexpr (sizeof(T) == sizeof(uint32_t))
-        ok = parseUint32(text, out);
-    else
-        ok = parseUint64(text, out);
-    if (!ok) {
-        std::fprintf(stderr,
-                     "elag_client: invalid numeric value in '%s'\n",
-                     arg.c_str());
-    }
-    return ok;
-}
-
 bool
 parseArgs(int argc, char **argv, Options &opts)
 {
@@ -123,7 +104,7 @@ parseArgs(int argc, char **argv, Options &opts)
             opts.socket = value("--socket=");
         } else if (startsWith(arg, "--tcp-port=")) {
             uint32_t port;
-            if (!numericOption(arg, "--tcp-port=", port))
+            if (!parseNumericFlag("elag_client", arg, "--tcp-port=", port))
                 return false;
             if (port == 0 || port > 65535) {
                 std::fprintf(stderr,
@@ -143,31 +124,36 @@ parseArgs(int argc, char **argv, Options &opts)
         } else if (startsWith(arg, "--selection=")) {
             opts.request.selection = value("--selection=");
         } else if (startsWith(arg, "--table=")) {
-            if (!numericOption(arg, "--table=", opts.request.table))
+            if (!parseNumericFlag("elag_client", arg, "--table=",
+                                  opts.request.table))
                 return false;
         } else if (startsWith(arg, "--regs=")) {
-            if (!numericOption(arg, "--regs=", opts.request.regs))
+            if (!parseNumericFlag("elag_client", arg, "--regs=",
+                                  opts.request.regs))
                 return false;
         } else if (arg == "--no-opt") {
             opts.request.noOpt = true;
         } else if (arg == "--no-classify") {
             opts.request.noClassify = true;
         } else if (startsWith(arg, "--max-inst=")) {
-            if (!numericOption(arg, "--max-inst=",
-                               opts.request.maxInst))
+            if (!parseNumericFlag("elag_client", arg, "--max-inst=",
+                                  opts.request.maxInst))
                 return false;
         } else if (startsWith(arg, "--deadline-ms=")) {
-            if (!numericOption(arg, "--deadline-ms=",
-                               opts.request.deadlineMs))
+            if (!parseNumericFlag("elag_client", arg, "--deadline-ms=",
+                                  opts.request.deadlineMs))
                 return false;
         } else if (startsWith(arg, "--clients=")) {
-            if (!numericOption(arg, "--clients=", opts.clients))
+            if (!parseNumericFlag("elag_client", arg, "--clients=",
+                                  opts.clients))
                 return false;
         } else if (startsWith(arg, "--requests=")) {
-            if (!numericOption(arg, "--requests=", opts.requests))
+            if (!parseNumericFlag("elag_client", arg, "--requests=",
+                                  opts.requests))
                 return false;
         } else if (startsWith(arg, "--retries=")) {
-            if (!numericOption(arg, "--retries=", opts.retries))
+            if (!parseNumericFlag("elag_client", arg, "--retries=",
+                                  opts.retries))
                 return false;
             if (opts.retries == 0) {
                 std::fprintf(stderr,

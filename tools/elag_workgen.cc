@@ -86,24 +86,6 @@ usage()
 
 template <typename T>
 bool
-numericOption(const std::string &arg, const char *prefix, T &out)
-{
-    std::string text = arg.substr(std::strlen(prefix));
-    bool ok;
-    if constexpr (sizeof(T) == sizeof(uint32_t))
-        ok = parseUint32(text, out);
-    else
-        ok = parseUint64(text, out);
-    if (!ok) {
-        std::fprintf(stderr,
-                     "elag_workgen: invalid numeric value in '%s'\n",
-                     arg.c_str());
-    }
-    return ok;
-}
-
-template <typename T>
-bool
 numericList(const std::string &arg, const char *prefix,
             std::vector<T> &out)
 {
@@ -140,7 +122,7 @@ parseArgs(int argc, char **argv, Options &opts)
         } else if (startsWith(arg, "--family=")) {
             opts.family = value("--family=");
         } else if (startsWith(arg, "--seed=")) {
-            if (!numericOption(arg, "--seed=", opts.seed))
+            if (!parseNumericFlag("elag_workgen", arg, "--seed=", opts.seed))
                 return false;
         } else if (startsWith(arg, "--out=")) {
             opts.out = value("--out=");
@@ -152,17 +134,17 @@ parseArgs(int argc, char **argv, Options &opts)
             if (opts.matrix) {
                 if (!numericList(arg, "--hot-loads=", opts.hotLoads))
                     return false;
-            } else if (!numericOption(arg, "--hot-loads=",
-                                      opts.hotLoadsOverride)) {
+            } else if (!parseNumericFlag("elag_workgen", arg, "--hot-loads=",
+                                         opts.hotLoadsOverride)) {
                 return false;
             }
         } else if (startsWith(arg, "--working-set=")) {
-            if (!numericOption(arg, "--working-set=",
-                               opts.workingSetOverride))
+            if (!parseNumericFlag("elag_workgen", arg, "--working-set=",
+                                  opts.workingSetOverride))
                 return false;
         } else if (startsWith(arg, "--iterations=")) {
-            if (!numericOption(arg, "--iterations=",
-                               opts.iterationsOverride))
+            if (!parseNumericFlag("elag_workgen", arg, "--iterations=",
+                                  opts.iterationsOverride))
                 return false;
         } else if (arg == "--matrix") {
             opts.matrix = true;

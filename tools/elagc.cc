@@ -147,29 +147,6 @@ usage()
                  " [file.c]\n");
 }
 
-/**
- * Strict numeric option parsing: "--seed=12abc", "--table=", and
- * out-of-range values are usage errors (exit 2), never silently
- * truncated or misread.
- */
-template <typename T>
-bool
-numericOption(const std::string &arg, const char *prefix, T &out)
-{
-    std::string text = arg.substr(std::strlen(prefix));
-    bool ok;
-    if constexpr (sizeof(T) == sizeof(uint32_t))
-        ok = parseUint32(text, out);
-    else
-        ok = parseUint64(text, out);
-    if (!ok) {
-        std::fprintf(stderr,
-                     "elagc: invalid numeric value in '%s'\n",
-                     arg.c_str());
-    }
-    return ok;
-}
-
 bool
 parseArgs(int argc, char **argv, Options &opts)
 {
@@ -203,29 +180,30 @@ parseArgs(int argc, char **argv, Options &opts)
         } else if (startsWith(arg, "--selection=")) {
             opts.selection = value("--selection=");
         } else if (startsWith(arg, "--table=")) {
-            if (!numericOption(arg, "--table=", opts.table))
+            if (!parseNumericFlag("elagc", arg, "--table=", opts.table))
                 return false;
         } else if (startsWith(arg, "--regs=")) {
-            if (!numericOption(arg, "--regs=", opts.regs))
+            if (!parseNumericFlag("elagc", arg, "--regs=", opts.regs))
                 return false;
         } else if (startsWith(arg, "--max-inst=")) {
-            if (!numericOption(arg, "--max-inst=", opts.maxInst))
+            if (!parseNumericFlag("elagc", arg, "--max-inst=", opts.maxInst))
                 return false;
         } else if (arg == "--verify-invariants") {
             opts.verifyInvariants = true;
         } else if (startsWith(arg, "--inject=")) {
             opts.inject = value("--inject=");
         } else if (startsWith(arg, "--seed=")) {
-            if (!numericOption(arg, "--seed=", opts.seed))
+            if (!parseNumericFlag("elagc", arg, "--seed=", opts.seed))
                 return false;
         } else if (startsWith(arg, "--max-cycles=")) {
-            if (!numericOption(arg, "--max-cycles=", opts.maxCycles))
+            if (!parseNumericFlag("elagc", arg, "--max-cycles=",
+                                  opts.maxCycles))
                 return false;
         } else if (startsWith(arg, "--checkpoint-dir=")) {
             opts.checkpointDir = value("--checkpoint-dir=");
         } else if (startsWith(arg, "--checkpoint-every=")) {
-            if (!numericOption(arg, "--checkpoint-every=",
-                               opts.checkpointEvery))
+            if (!parseNumericFlag("elagc", arg, "--checkpoint-every=",
+                                  opts.checkpointEvery))
                 return false;
         } else if (startsWith(arg, "--resume-from=")) {
             opts.resumeFrom = value("--resume-from=");
@@ -469,113 +447,88 @@ main(int argc, char **argv)
                 mcfg.faultInjector = &*injector;
             }
             verify::InvariantChecker checker;
-            std::vector<pipeline::Observer *> observers{&telemetry};
-            if (opts.verifyInvariants)
-                observers.push_back(&checker);
+            verify::InvariantChecker *chk =
+                opts.verifyInvariants ? &checker : nullptr;
+            verify::FaultInjector *inj = injector ? &*injector : nullptr;
+            auto baselineCfg = pipeline::MachineConfig::baseline();
 
-            sim::TimedResult base, timed;
-            const bool checkpointed = !opts.checkpointDir.empty() ||
-                                      !opts.resumeFrom.empty() ||
-                                      opts.checkpointEvery > 0;
-            if (!checkpointed) {
-                base = sim::runTimed(
-                    prog, pipeline::MachineConfig::baseline(),
-                    opts.maxInst, {}, watchdog);
-                timed = sim::runTimed(prog, mcfg, opts.maxInst,
-                                      observers, watchdog);
-            } else {
+            // Every stats run steps through runTimedCheckpointed; the
+            // checkpoint flags pick only the snapshot path, cadence,
+            // resume and signal handling.
+            sim::CkptPolicy policy;
+            policy.everyRetires = opts.checkpointEvery;
+            if (!opts.checkpointDir.empty() || !opts.resumeFrom.empty() ||
+                opts.checkpointEvery > 0) {
                 std::signal(SIGINT, onSignal);
                 std::signal(SIGTERM, onSignal);
-
-                verify::InvariantChecker *chk =
-                    opts.verifyInvariants ? &checker : nullptr;
-                verify::FaultInjector *inj =
-                    injector ? &*injector : nullptr;
-                auto baselineCfg = pipeline::MachineConfig::baseline();
-
-                sim::CkptPolicy policy;
-                policy.everyRetires = opts.checkpointEvery;
                 policy.interrupted = [] { return signalSeen != 0; };
-
-                // Auto-resume snapshots are named by run identity, so
-                // re-running the identical command finds its own file
-                // and nothing else's.
-                std::string resume = opts.resumeFrom;
-                if (!opts.checkpointDir.empty()) {
-                    sim::CkptRunKey key = sim::makeRunKey(
-                        prog, mcfg, baselineCfg, opts.maxInst,
-                        chk != nullptr, inj);
-                    policy.path = formatString(
-                        "%s/elagc-%016llx.ckpt",
-                        opts.checkpointDir.c_str(),
-                        static_cast<unsigned long long>(
-                            sim::hashRunKey(key)));
-                    if (resume.empty() &&
-                        ckpt::fileExists(policy.path)) {
-                        resume = policy.path;
-                    }
-                }
-
-                sim::CkptStatsOutcome outcome;
-                try {
-                    outcome = sim::runTimedCheckpointed(
-                        prog, mcfg, baselineCfg, opts.maxInst,
-                        &telemetry, chk, inj, watchdog, policy,
-                        resume);
-                } catch (const ckpt::CkptError &e) {
-                    if (!opts.resumeFrom.empty()) {
-                        // Explicit resume: rejection is fatal and
-                        // typed, never silently restored past.
-                        std::fprintf(
-                            stderr,
-                            "elagc: cannot resume from '%s' (%s): "
-                            "%s\n",
-                            opts.resumeFrom.c_str(),
-                            ckpt::name(e.kind()), e.what());
-                        writeErrorDoc(opts, "bad_checkpoint",
-                                      e.what(), 65);
-                        return 65;
-                    }
-                    // Auto-resume: an unusable snapshot costs the
-                    // saved progress, not the run. A failed restore
-                    // may have partially mutated the observers, so
-                    // reset them before the clean attempt.
-                    warn("unusable checkpoint '%s' (%s): %s; "
-                         "starting clean",
-                         resume.c_str(), ckpt::name(e.kind()),
-                         e.what());
-                    telemetry.reset();
-                    checker = verify::InvariantChecker{};
-                    if (injector) {
-                        injector.emplace(
-                            verify::planByName(opts.inject),
-                            opts.seed);
-                    }
-                    outcome = sim::runTimedCheckpointed(
-                        prog, mcfg, baselineCfg, opts.maxInst,
-                        &telemetry, chk, inj, watchdog, policy, "");
-                }
-
-                if (outcome.interrupted) {
-                    int sig = static_cast<int>(signalSeen);
-                    std::fprintf(
-                        stderr,
-                        "elagc: interrupted by signal %d after %u "
-                        "snapshot(s); resume with the same command%s\n",
-                        sig, outcome.snapshots,
-                        policy.path.empty() ? ""
-                                            : (" or --resume-from=" +
-                                               policy.path)
-                                                  .c_str());
-                    return sig == SIGINT ? 130 : 143;
-                }
-                if (outcome.resumed) {
-                    inform("resumed from checkpoint '%s'",
-                           resume.c_str());
-                }
-                base = outcome.base;
-                timed = outcome.timed;
             }
+
+            // Auto-resume snapshots are named by run identity, so
+            // re-running the identical command finds its own file and
+            // nothing else's.
+            std::string resume = opts.resumeFrom;
+            if (!opts.checkpointDir.empty()) {
+                sim::CkptRunKey key =
+                    sim::makeRunKey(prog, mcfg, baselineCfg, opts.maxInst,
+                                    chk != nullptr, inj);
+                policy.path = formatString(
+                    "%s/elagc-%016llx.ckpt", opts.checkpointDir.c_str(),
+                    static_cast<unsigned long long>(sim::hashRunKey(key)));
+                if (resume.empty() && ckpt::fileExists(policy.path))
+                    resume = policy.path;
+            }
+
+            sim::CkptStatsOutcome outcome;
+            try {
+                outcome = sim::runTimedCheckpointed(
+                    prog, mcfg, baselineCfg, opts.maxInst, &telemetry, chk,
+                    inj, watchdog, policy, resume);
+            } catch (const ckpt::CkptError &e) {
+                if (!opts.resumeFrom.empty()) {
+                    // Explicit resume: rejection is fatal and typed,
+                    // never silently restored past.
+                    std::fprintf(stderr,
+                                 "elagc: cannot resume from '%s' (%s): "
+                                 "%s\n",
+                                 opts.resumeFrom.c_str(),
+                                 ckpt::name(e.kind()), e.what());
+                    writeErrorDoc(opts, "bad_checkpoint", e.what(), 65);
+                    return 65;
+                }
+                // Auto-resume: an unusable snapshot costs the saved
+                // progress, not the run. A failed restore may have
+                // partially mutated the observers, so reset them before
+                // the clean attempt.
+                warn("unusable checkpoint '%s' (%s): %s; starting clean",
+                     resume.c_str(), ckpt::name(e.kind()), e.what());
+                telemetry.reset();
+                checker = verify::InvariantChecker{};
+                if (injector) {
+                    injector.emplace(verify::planByName(opts.inject),
+                                     opts.seed);
+                }
+                outcome = sim::runTimedCheckpointed(
+                    prog, mcfg, baselineCfg, opts.maxInst, &telemetry, chk,
+                    inj, watchdog, policy, "");
+            }
+
+            if (outcome.interrupted) {
+                int sig = static_cast<int>(signalSeen);
+                std::fprintf(
+                    stderr,
+                    "elagc: interrupted by signal %d after %u "
+                    "snapshot(s); resume with the same command%s\n",
+                    sig, outcome.snapshots,
+                    policy.path.empty()
+                        ? ""
+                        : (" or --resume-from=" + policy.path).c_str());
+                return sig == SIGINT ? 130 : 143;
+            }
+            if (outcome.resumed)
+                inform("resumed from checkpoint '%s'", resume.c_str());
+            const sim::TimedResult &base = outcome.base;
+            const sim::TimedResult &timed = outcome.timed;
 
             if (opts.verifyInvariants) {
                 checker.finish(timed.pipe);

@@ -104,25 +104,6 @@ usage()
                  "             [--trace-out=FILE] [--quiet]\n");
 }
 
-/** Strict numeric option parsing, as in elagc: exit 2 on junk. */
-template <typename T>
-bool
-numericOption(const std::string &arg, const char *prefix, T &out)
-{
-    std::string text = arg.substr(std::strlen(prefix));
-    bool ok;
-    if constexpr (sizeof(T) == sizeof(uint32_t))
-        ok = parseUint32(text, out);
-    else
-        ok = parseUint64(text, out);
-    if (!ok) {
-        std::fprintf(stderr,
-                     "elagd: invalid numeric value in '%s'\n",
-                     arg.c_str());
-    }
-    return ok;
-}
-
 bool
 parseArgs(int argc, char **argv, Options &opts)
 {
@@ -135,7 +116,7 @@ parseArgs(int argc, char **argv, Options &opts)
             opts.socket = value("--socket=");
         } else if (startsWith(arg, "--tcp-port=")) {
             uint32_t port;
-            if (!numericOption(arg, "--tcp-port=", port))
+            if (!parseNumericFlag("elagd", arg, "--tcp-port=", port))
                 return false;
             if (port == 0 || port > 65535) {
                 std::fprintf(stderr,
@@ -144,22 +125,22 @@ parseArgs(int argc, char **argv, Options &opts)
             }
             opts.tcpPort = static_cast<uint16_t>(port);
         } else if (startsWith(arg, "--queue-depth=")) {
-            if (!numericOption(arg, "--queue-depth=",
-                               opts.queueDepth))
+            if (!parseNumericFlag("elagd", arg, "--queue-depth=",
+                                  opts.queueDepth))
                 return false;
         } else if (startsWith(arg, "--jobs=")) {
-            if (!numericOption(arg, "--jobs=", opts.jobs))
+            if (!parseNumericFlag("elagd", arg, "--jobs=", opts.jobs))
                 return false;
         } else if (startsWith(arg, "--deadline-ms=")) {
-            if (!numericOption(arg, "--deadline-ms=",
-                               opts.deadlineMs))
+            if (!parseNumericFlag("elagd", arg, "--deadline-ms=",
+                                  opts.deadlineMs))
                 return false;
         } else if (startsWith(arg, "--cache-capacity=")) {
-            if (!numericOption(arg, "--cache-capacity=",
-                               opts.cacheCapacity))
+            if (!parseNumericFlag("elagd", arg, "--cache-capacity=",
+                                  opts.cacheCapacity))
                 return false;
         } else if (startsWith(arg, "--shards=")) {
-            if (!numericOption(arg, "--shards=", opts.shards))
+            if (!parseNumericFlag("elagd", arg, "--shards=", opts.shards))
                 return false;
             if (opts.shards > 64) {
                 std::fprintf(stderr,
@@ -167,8 +148,8 @@ parseArgs(int argc, char **argv, Options &opts)
                 return false;
             }
         } else if (startsWith(arg, "--quarantine-threshold=")) {
-            if (!numericOption(arg, "--quarantine-threshold=",
-                               opts.quarantineThreshold))
+            if (!parseNumericFlag("elagd", arg, "--quarantine-threshold=",
+                                  opts.quarantineThreshold))
                 return false;
             if (opts.quarantineThreshold == 0) {
                 std::fprintf(stderr,
@@ -192,18 +173,18 @@ parseArgs(int argc, char **argv, Options &opts)
                 return false;
             }
         } else if (startsWith(arg, "--checkpoint-every=")) {
-            if (!numericOption(arg, "--checkpoint-every=",
-                               opts.checkpointEvery))
+            if (!parseNumericFlag("elagd", arg, "--checkpoint-every=",
+                                  opts.checkpointEvery))
                 return false;
         } else if (startsWith(arg, "--shard-mem-mb=")) {
-            if (!numericOption(arg, "--shard-mem-mb=",
-                               opts.shardMemMb))
+            if (!parseNumericFlag("elagd", arg, "--shard-mem-mb=",
+                                  opts.shardMemMb))
                 return false;
         } else if (arg == "--shard-worker") {
             opts.shardWorker = true;
         } else if (startsWith(arg, "--shard-index=")) {
-            if (!numericOption(arg, "--shard-index=",
-                               opts.shardIndex))
+            if (!parseNumericFlag("elagd", arg, "--shard-index=",
+                                  opts.shardIndex))
                 return false;
             opts.shardIndexSet = true;
         } else if (startsWith(arg, "--trace=")) {
