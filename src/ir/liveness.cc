@@ -1,69 +1,134 @@
 #include "ir/liveness.hh"
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
 
 namespace elag {
 namespace ir {
 
 Liveness::Liveness(const Function &fn)
 {
-    // Per-block use (upward-exposed) and def sets.
-    std::map<const BasicBlock *, std::set<int>> uses;
-    std::map<const BasicBlock *, std::set<int>> defs;
-    for (const auto &bb : fn.blocks()) {
-        std::set<int> &use = uses[bb.get()];
-        std::set<int> &def = defs[bb.get()];
-        std::vector<int> srcs;
-        for (const auto &inst : bb->insts) {
+    // The CFG does not change during the analysis, so the block order
+    // (reverse RPO, for fast convergence) and the successor indices
+    // are computed once. Unreachable blocks get no sets.
+    std::vector<BasicBlock *> order = fn.rpo();
+    std::reverse(order.begin(), order.end());
+    const size_t n = order.size();
+    for (size_t i = 0; i < n; ++i)
+        index[order[i]] = i;
+
+    // Per-block upward-exposed uses and defs, each vreg once: a mark
+    // holds the last block (index + 1) that defined / used the vreg.
+    const size_t limit = static_cast<size_t>(fn.vregLimit());
+    std::vector<std::vector<int>> uses(n), defs(n);
+    std::vector<std::vector<size_t>> succs(n);
+    std::vector<size_t> def_mark(limit, 0), use_mark(limit, 0);
+    std::vector<int> srcs;
+    for (size_t i = 0; i < n; ++i) {
+        for (const BasicBlock *succ : order[i]->succs)
+            succs[i].push_back(index.at(succ));
+        for (const auto &inst : order[i]->insts) {
             srcs.clear();
             inst.sourceRegs(srcs);
             for (int s : srcs) {
-                if (!def.count(s))
-                    use.insert(s);
+                size_t v = static_cast<size_t>(s);
+                if (def_mark.at(v) != i + 1 && use_mark.at(v) != i + 1) {
+                    use_mark[v] = i + 1;
+                    uses[i].push_back(s);
+                }
             }
-            if (inst.dest)
-                def.insert(inst.dest);
+            size_t d = static_cast<size_t>(inst.dest);
+            if (inst.dest && def_mark.at(d) != i + 1) {
+                def_mark[d] = i + 1;
+                defs[i].push_back(inst.dest);
+            }
         }
     }
 
+    // Only a vreg with an upward-exposed use can be live at a block
+    // boundary. Number those densely, in ascending vreg order, and
+    // run the fixed point on bit vectors over that numbering.
+    std::vector<int> live_vregs;
+    for (const auto &use : uses)
+        live_vregs.insert(live_vregs.end(), use.begin(), use.end());
+    std::sort(live_vregs.begin(), live_vregs.end());
+    live_vregs.erase(std::unique(live_vregs.begin(), live_vregs.end()),
+                     live_vregs.end());
+    // bit[v] is v's position in live_vregs.
+    const size_t none = live_vregs.size();
+    std::vector<size_t> bit(limit, none);
+    for (size_t b = 0; b < live_vregs.size(); ++b)
+        bit[static_cast<size_t>(live_vregs[b])] = b;
+    const size_t words = (live_vregs.size() + 63) / 64;
+    std::vector<uint64_t> use_bits(n * words), def_bits(n * words);
+    std::vector<uint64_t> in_bits(n * words), out_bits(n * words);
+    auto set = [&](std::vector<uint64_t> &bits, size_t block, size_t b) {
+        bits[block * words + b / 64] |= uint64_t{1} << (b % 64);
+    };
+    for (size_t i = 0; i < n; ++i) {
+        for (int v : uses[i])
+            set(use_bits, i, bit[static_cast<size_t>(v)]);
+        for (int v : defs[i]) {
+            if (bit[static_cast<size_t>(v)] != none)
+                set(def_bits, i, bit[static_cast<size_t>(v)]);
+        }
+    }
+
+    // Round-robin to the least fixed point, which is unique, so the
+    // sets match any other iteration order.
     bool changed = true;
     while (changed) {
         changed = false;
-        // Iterate blocks in reverse RPO for fast convergence.
-        std::vector<BasicBlock *> order =
-            const_cast<Function &>(fn).rpo();
-        for (auto it = order.rbegin(); it != order.rend(); ++it) {
-            const BasicBlock *bb = *it;
-            std::set<int> out;
-            for (const BasicBlock *succ : bb->succs) {
-                const std::set<int> &in = liveIns[succ];
-                out.insert(in.begin(), in.end());
-            }
-            std::set<int> in = uses[bb];
-            for (int v : out) {
-                if (!defs[bb].count(v))
-                    in.insert(v);
-            }
-            if (out != liveOuts[bb] || in != liveIns[bb]) {
-                liveOuts[bb] = std::move(out);
-                liveIns[bb] = std::move(in);
-                changed = true;
+        for (size_t i = 0; i < n; ++i) {
+            uint64_t *out = out_bits.data() + i * words;
+            uint64_t *in = in_bits.data() + i * words;
+            const uint64_t *use = use_bits.data() + i * words;
+            const uint64_t *def = def_bits.data() + i * words;
+            for (size_t w = 0; w < words; ++w) {
+                uint64_t o = 0;
+                for (size_t s : succs[i])
+                    o |= in_bits[s * words + w];
+                uint64_t x = use[w] | (o & ~def[w]);
+                if (o != out[w] || x != in[w]) {
+                    out[w] = o;
+                    in[w] = x;
+                    changed = true;
+                }
             }
         }
     }
+
+    auto materialise = [&](const uint64_t *bits) {
+        VRegSet vregs;
+        for (size_t w = 0; w < words; ++w) {
+            for (uint64_t m = bits[w]; m; m &= m - 1) {
+                size_t b = w * 64 + static_cast<size_t>(std::countr_zero(m));
+                vregs.push_back(live_vregs[b]);
+            }
+        }
+        return vregs;
+    };
+    liveIns.resize(n);
+    liveOuts.resize(n);
+    for (size_t i = 0; i < n; ++i) {
+        liveIns[i] = materialise(in_bits.data() + i * words);
+        liveOuts[i] = materialise(out_bits.data() + i * words);
+    }
 }
 
-const std::set<int> &
+const Liveness::VRegSet &
 Liveness::liveIn(const BasicBlock *bb) const
 {
-    auto it = liveIns.find(bb);
-    return it == liveIns.end() ? empty : it->second;
+    auto it = index.find(bb);
+    return it == index.end() ? empty : liveIns[it->second];
 }
 
-const std::set<int> &
+const Liveness::VRegSet &
 Liveness::liveOut(const BasicBlock *bb) const
 {
-    auto it = liveOuts.find(bb);
-    return it == liveOuts.end() ? empty : it->second;
+    auto it = index.find(bb);
+    return it == index.end() ? empty : liveOuts[it->second];
 }
 
 } // namespace ir

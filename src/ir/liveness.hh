@@ -6,8 +6,8 @@
 #ifndef ELAG_IR_LIVENESS_HH
 #define ELAG_IR_LIVENESS_HH
 
-#include <map>
-#include <set>
+#include <unordered_map>
+#include <vector>
 
 #include "ir/ir.hh"
 
@@ -18,16 +18,22 @@ namespace ir {
 class Liveness
 {
   public:
+    /** A set of vregs, in ascending order. */
+    using VRegSet = std::vector<int>;
+
     /** Compute liveness; the function's CFG must be current. */
     explicit Liveness(const Function &fn);
 
-    const std::set<int> &liveIn(const BasicBlock *bb) const;
-    const std::set<int> &liveOut(const BasicBlock *bb) const;
+    /** Sets of a block unreachable from the entry are empty. */
+    const VRegSet &liveIn(const BasicBlock *bb) const;
+    const VRegSet &liveOut(const BasicBlock *bb) const;
 
   private:
-    std::map<const BasicBlock *, std::set<int>> liveIns;
-    std::map<const BasicBlock *, std::set<int>> liveOuts;
-    std::set<int> empty;
+    /** Position of each reachable block in liveIns/liveOuts. */
+    std::unordered_map<const BasicBlock *, size_t> index;
+    std::vector<VRegSet> liveIns;
+    std::vector<VRegSet> liveOuts;
+    VRegSet empty;
 };
 
 } // namespace ir

@@ -61,6 +61,20 @@ loopLatches(const Loop &loop)
     return latches;
 }
 
+/** Registers with any definition inside the loop, ascending. */
+std::set<int>
+loopDefinedVRegs(const Loop &loop)
+{
+    std::set<int> defined;
+    for (const BasicBlock *bb : loop.blocks) {
+        for (const auto &inst : bb->insts) {
+            if (inst.dest)
+                defined.insert(inst.dest);
+        }
+    }
+    return defined;
+}
+
 } // anonymous namespace
 
 bool
@@ -69,22 +83,18 @@ loopInvariantCodeMotion(Function &fn)
     bool any = false;
     fn.recomputeCfg();
     LoopInfo loop_info(fn);
+    // Only per-vreg def counts are read, and neither a hoist (which
+    // moves an instruction) nor a preheader (which adds a Jump)
+    // changes one, so the def map is built once.
+    const auto defs = collectDefs(fn);
+    // Built on first use; stale only once a preheader is inserted.
+    std::optional<Dominators> doms;
 
     for (Loop *loop : loop_info.loopsInnermostFirst()) {
-        auto defs = collectDefs(fn);
         bool mem_unsafe = loopHasMemSideEffects(*loop);
         std::vector<BasicBlock *> latches = loopLatches(*loop);
+        std::set<int> defined_in_loop = loopDefinedVRegs(*loop);
 
-        // Registers with any definition inside the loop.
-        std::set<int> defined_in_loop;
-        for (BasicBlock *bb : loop->blocks) {
-            for (const auto &inst : bb->insts) {
-                if (inst.dest)
-                    defined_in_loop.insert(inst.dest);
-            }
-        }
-
-        Dominators doms(fn);
         BasicBlock *preheader = nullptr;
         bool changed = true;
         while (changed) {
@@ -119,9 +129,11 @@ loopInvariantCodeMotion(Function &fn)
                     // Loads must execute on every iteration to be
                     // hoisted (they are not speculated past guards).
                     if (inst.isLoad()) {
+                        if (!doms)
+                            doms.emplace(fn);
                         bool dominates_latches = true;
                         for (BasicBlock *latch : latches) {
-                            if (!doms.dominates(bb, latch)) {
+                            if (!doms->dominates(bb, latch)) {
                                 dominates_latches = false;
                                 break;
                             }
@@ -130,9 +142,10 @@ loopInvariantCodeMotion(Function &fn)
                             continue;
                     }
                     if (!preheader) {
+                        size_t blocks_before = fn.blocks().size();
                         preheader = ir::ensurePreheader(fn, *loop);
-                        // CFG changed; dominators must be rebuilt.
-                        doms = Dominators(fn);
+                        if (fn.blocks().size() != blocks_before)
+                            doms.reset(); // the CFG changed
                     }
                     // Insert before the preheader's terminator.
                     int moved_dest = inst.dest;
@@ -142,7 +155,6 @@ loopInvariantCodeMotion(Function &fn)
                     preheader->insts.insert(
                         preheader->insts.end() - 1, std::move(moved));
                     defined_in_loop.erase(moved_dest);
-                    defs = collectDefs(fn);
                     changed = true;
                     any = true;
                     --i;
@@ -168,18 +180,18 @@ struct BasicIv
 
 /** Find basic IVs of @p loop: vregs with exactly one in-loop def of
  * the form v = add v, imm, that def living in a latch-dominating
- * block. */
+ * block. Only vregs defined in the loop can qualify, so only they
+ * are visited, in ascending order. */
 std::vector<BasicIv>
-findBasicIvs(Function &fn, const Loop &loop)
+findBasicIvs(const DefMap &defs, const Loop &loop,
+             const std::set<int> &defined_in_loop)
 {
     std::vector<BasicIv> ivs;
-    auto defs = collectDefs(fn);
-    for (auto &kv : defs) {
-        int vreg = kv.first;
+    for (int vreg : defined_in_loop) {
         InstRef in_loop_def{};
         int in_loop_defs = 0;
         bool def_outside = false;
-        for (const InstRef &ref : kv.second) {
+        for (const InstRef &ref : defs.at(vreg)) {
             if (loop.contains(ref.block)) {
                 in_loop_def = ref;
                 ++in_loop_defs;
@@ -214,25 +226,18 @@ namespace {
 
 /**
  * Transform at most one (IV, scaled-temp) candidate in @p loop.
+ * @p defs and @p doms describe @p fn, which is left untouched unless
+ * this returns true.
  * @return true if a transformation was applied.
  */
 bool
-reduceOneCandidate(Function &fn, Loop &loop,
-                   std::set<int> &reduced_temps)
+reduceOneCandidate(Function &fn, Loop &loop, const DefMap &defs,
+                   const Dominators &doms, std::set<int> &reduced_temps)
 {
-    std::vector<BasicIv> ivs = findBasicIvs(fn, loop);
+    std::set<int> defined_in_loop = loopDefinedVRegs(loop);
+    std::vector<BasicIv> ivs = findBasicIvs(defs, loop, defined_in_loop);
     if (ivs.empty())
         return false;
-    auto defs = collectDefs(fn);
-    Dominators doms(fn);
-
-    std::set<int> defined_in_loop;
-    for (BasicBlock *bb : loop.blocks) {
-        for (const auto &inst : bb->insts) {
-            if (inst.dest)
-                defined_in_loop.insert(inst.dest);
-        }
-    }
 
     for (const BasicIv &iv : ivs) {
         // Increment must dominate every latch so the pointer update
@@ -249,12 +254,11 @@ reduceOneCandidate(Function &fn, Loop &loop,
 
         // Find scaled copies: t = shl iv, k (single-def, in loop,
         // computed with the pre-increment IV value).
-        for (const auto &kv : defs) {
-            if (kv.second.size() != 1 || reduced_temps.count(kv.first))
+        for (int t_vreg : defined_in_loop) {
+            const std::vector<InstRef> &t_defs = defs.at(t_vreg);
+            if (t_defs.size() != 1 || reduced_temps.count(t_vreg))
                 continue;
-            InstRef t_ref = kv.second[0];
-            if (!loop.contains(t_ref.block))
-                continue;
+            InstRef t_ref = t_defs[0];
             const IrInst &t_inst = t_ref.inst();
             if (t_inst.op != IrOpcode::Shl || !t_inst.a.isReg() ||
                 t_inst.a.reg != iv.vreg || !t_inst.b.isImm()) {
@@ -265,7 +269,6 @@ reduceOneCandidate(Function &fn, Loop &loop,
                 continue;
             }
             int64_t shift = t_inst.b.imm;
-            int t_vreg = t_inst.dest;
 
             // Memory accesses [base + t] with loop-invariant base.
             struct Site
@@ -354,12 +357,17 @@ strengthReduceInductionVariables(Function &fn)
 
     // Each transformation invalidates CFG-derived analyses, so loops
     // are re-discovered after every change, bounded by a generous cap.
+    // A loop that yields no candidate leaves the function untouched,
+    // so one def map and one dominator tree serve every loop tried
+    // between two changes.
     std::set<int> reduced_temps;
     for (int iter = 0; iter < 256; ++iter) {
         LoopInfo loop_info(fn);
+        const DefMap defs = collectDefs(fn);
+        const Dominators doms(fn);
         bool changed = false;
         for (Loop *loop : loop_info.loopsInnermostFirst()) {
-            if (reduceOneCandidate(fn, *loop, reduced_temps)) {
+            if (reduceOneCandidate(fn, *loop, defs, doms, reduced_temps)) {
                 changed = true;
                 break;
             }

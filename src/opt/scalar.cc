@@ -316,7 +316,8 @@ coalesceMoves(Function &fn)
             bb->insts.erase(bb->insts.begin() +
                             static_cast<long>(i) + 1);
             any = true;
-            uses = countUses(fn);
+            // The erased mov was t's only use; no other count moves.
+            it->second = 0;
         }
     }
     return any;
@@ -329,18 +330,26 @@ deadCodeElimination(Function &fn)
     ir::Liveness live(fn);
     bool any = false;
     std::vector<int> srcs;
+    // v is live at the current point of the backward walk over block
+    // number `block` iff live_mark[v] == block, so the marks need no
+    // clearing between blocks.
+    std::vector<size_t> live_mark(static_cast<size_t>(fn.vregLimit()), 0);
+    size_t block = 0;
+    auto isLive = [&](int v) {
+        return live_mark.at(static_cast<size_t>(v)) == block;
+    };
     for (auto &bb : fn.blocks()) {
-        std::set<int> live_now = live.liveOut(bb.get());
+        ++block;
+        for (int v : live.liveOut(bb.get()))
+            live_mark.at(static_cast<size_t>(v)) = block;
         for (size_t i = bb->insts.size(); i-- > 0;) {
             IrInst &inst = bb->insts[i];
-            bool dead = inst.dest && !live_now.count(inst.dest) &&
+            bool dead = inst.dest && !isLive(inst.dest) &&
                         !inst.hasSideEffects() && !inst.isLoad();
             // Dead loads are removable too: this machine's loads have
             // no observable side effects at the IR level.
-            if (inst.dest && !live_now.count(inst.dest) &&
-                inst.isLoad()) {
+            if (inst.dest && !isLive(inst.dest) && inst.isLoad())
                 dead = true;
-            }
             if (dead) {
                 bb->insts.erase(bb->insts.begin() +
                                 static_cast<long>(i));
@@ -355,17 +364,16 @@ deadCodeElimination(Function &fn)
             }
             // A call whose result is unused keeps running for its
             // side effects, but the dest can be dropped.
-            if (inst.isCall() && inst.dest &&
-                !live_now.count(inst.dest)) {
+            if (inst.isCall() && inst.dest && !isLive(inst.dest)) {
                 inst.dest = 0;
                 any = true;
             }
             if (inst.dest)
-                live_now.erase(inst.dest);
+                live_mark.at(static_cast<size_t>(inst.dest)) = 0;
             srcs.clear();
             inst.sourceRegs(srcs);
             for (int s : srcs)
-                live_now.insert(s);
+                live_mark.at(static_cast<size_t>(s)) = block;
         }
     }
     return any;

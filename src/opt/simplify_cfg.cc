@@ -1,5 +1,7 @@
 #include "opt/pass.hh"
 
+#include <algorithm>
+
 #include "support/logging.hh"
 
 namespace elag {
@@ -26,6 +28,39 @@ jumpThreadTarget(BasicBlock *bb)
         bb = inst.taken;
     }
     return bb;
+}
+
+/**
+ * Merge @p bb's successor into @p bb when @p bb ends in a jump to it
+ * and is its unique predecessor. Keeps preds/succs current in place.
+ * @return true if a merge was made.
+ */
+bool
+mergeSuccessor(const Function &fn, BasicBlock *bb)
+{
+    IrInst *term = bb->terminator();
+    if (!term || term->op != IrOpcode::Jump)
+        return false;
+    BasicBlock *succ = term->taken;
+    if (succ == bb || succ->preds.size() != 1 || succ == fn.entry())
+        return false;
+    bb->insts.pop_back();
+    for (auto &inst : succ->insts)
+        bb->insts.push_back(std::move(inst));
+    succ->insts.clear();
+    // Leave succ empty and unreachable; give it a jump to itself so
+    // the verifier's terminator rule holds until removeUnreachable
+    // prunes it.
+    IrInst self_jump;
+    self_jump.op = IrOpcode::Jump;
+    self_jump.taken = succ;
+    succ->insts.push_back(self_jump);
+    bb->succs = std::move(succ->succs);
+    for (BasicBlock *next : bb->succs)
+        std::replace(next->preds.begin(), next->preds.end(), succ, bb);
+    succ->preds.clear();
+    succ->succs.clear();
+    return true;
 }
 
 } // anonymous namespace
@@ -76,31 +111,25 @@ simplifyCfg(Function &fn)
             }
         }
         fn.removeUnreachable();
+        bool threaded = changed;
 
-        // Merge a block into its unique successor when it is that
-        // successor's unique predecessor.
+        // Merge blocks into their unique successors, in block order,
+        // re-testing a merged block before moving on. Once threading
+        // is at a fixed point, a merge changes no other block's
+        // eligibility and opens no new threading unless it leaves a
+        // lone jump, so all such merges are made in one scan.
+        // Otherwise the scan stops after one merge and threading runs
+        // again.
+        bool rescan = false;
         for (auto &bb : fn.blocks()) {
-            IrInst *term = bb->terminator();
-            if (!term || term->op != IrOpcode::Jump)
-                continue;
-            BasicBlock *succ = term->taken;
-            if (succ == bb.get() || succ->preds.size() != 1)
-                continue;
-            if (succ == fn.entry())
-                continue;
-            bb->insts.pop_back();
-            for (auto &inst : succ->insts)
-                bb->insts.push_back(std::move(inst));
-            succ->insts.clear();
-            // Leave succ empty and unreachable; give it a jump to
-            // itself so the verifier's terminator rule holds until
-            // removeUnreachable prunes it.
-            IrInst self_jump;
-            self_jump.op = IrOpcode::Jump;
-            self_jump.taken = succ;
-            succ->insts.push_back(self_jump);
-            changed = true;
-            break; // block list invalidated; restart scan
+            while (!rescan && mergeSuccessor(fn, bb.get())) {
+                changed = true;
+                rescan = threaded ||
+                         (bb->insts.size() == 1 &&
+                          bb->insts[0].op == IrOpcode::Jump);
+            }
+            if (rescan)
+                break;
         }
         fn.removeUnreachable();
         any |= changed;

@@ -5,10 +5,10 @@
 namespace elag {
 namespace opt {
 
-std::map<int, std::vector<InstRef>>
+DefMap
 collectDefs(ir::Function &fn)
 {
-    std::map<int, std::vector<InstRef>> defs;
+    DefMap defs;
     for (auto &bb : fn.blocks()) {
         for (size_t i = 0; i < bb->insts.size(); ++i) {
             if (bb->insts[i].dest)

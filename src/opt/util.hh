@@ -24,8 +24,11 @@ struct InstRef
     ir::IrInst &inst() const { return block->insts[index]; }
 };
 
+/** Definition sites of each vreg, keyed by vreg. */
+using DefMap = std::map<int, std::vector<InstRef>>;
+
 /** All definition sites of every vreg in the function. */
-std::map<int, std::vector<InstRef>> collectDefs(ir::Function &fn);
+DefMap collectDefs(ir::Function &fn);
 
 /** Number of uses of every vreg. */
 std::map<int, int> countUses(const ir::Function &fn);

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "ir/dominators.hh"
 #include "ir/ir.hh"
 #include "ir/liveness.hh"
@@ -238,11 +240,14 @@ TEST(Liveness, ValueLiveAcrossLoop)
 {
     SimpleLoop l;
     Liveness live(l.fn);
+    auto has = [](const Liveness::VRegSet &set, int v) {
+        return std::binary_search(set.begin(), set.end(), v);
+    };
     // iv is live into the header and body (used by branch and add).
-    EXPECT_TRUE(live.liveIn(l.header).count(l.iv));
-    EXPECT_TRUE(live.liveIn(l.body).count(l.iv));
-    EXPECT_FALSE(live.liveIn(l.entry).count(l.iv));
-    EXPECT_FALSE(live.liveIn(l.exit).count(l.iv));
+    EXPECT_TRUE(has(live.liveIn(l.header), l.iv));
+    EXPECT_TRUE(has(live.liveIn(l.body), l.iv));
+    EXPECT_FALSE(has(live.liveIn(l.entry), l.iv));
+    EXPECT_FALSE(has(live.liveIn(l.exit), l.iv));
 }
 
 TEST(Liveness, DeadAfterLastUse)
