@@ -54,10 +54,9 @@ allocateRegisters(Function &fn, const std::vector<BasicBlock *> &order)
         block_range[bb] = {begin, pos};
     }
 
-    // Indexed by vreg; an interval no position touched keeps vreg 0.
-    std::vector<Interval> intervals(static_cast<size_t>(fn.vregLimit()));
+    std::map<int, Interval> intervals;
     auto touch = [&](int vreg, int p) {
-        Interval &iv = intervals.at(static_cast<size_t>(vreg));
+        Interval &iv = intervals[vreg];
         iv.vreg = vreg;
         iv.extend(p);
     };
@@ -87,17 +86,20 @@ allocateRegisters(Function &fn, const std::vector<BasicBlock *> &order)
         }
     }
 
-    // Call positions ascend, so the first call after an interval's
-    // start decides whether any call falls strictly inside it.
-    std::vector<Interval> sorted;
-    for (Interval &iv : intervals) {
-        if (!iv.vreg)
-            continue;
-        auto cp = std::upper_bound(call_positions.begin(),
-                                   call_positions.end(), iv.start);
-        iv.crossesCall = cp != call_positions.end() && *cp < iv.end;
-        sorted.push_back(iv);
+    for (auto &kv : intervals) {
+        Interval &iv = kv.second;
+        for (int cp : call_positions) {
+            if (iv.start < cp && cp < iv.end) {
+                iv.crossesCall = true;
+                break;
+            }
+        }
     }
+
+    std::vector<Interval> sorted;
+    sorted.reserve(intervals.size());
+    for (const auto &kv : intervals)
+        sorted.push_back(kv.second);
     std::sort(sorted.begin(), sorted.end(),
               [](const Interval &a, const Interval &b) {
                   if (a.start != b.start)

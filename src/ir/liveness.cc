@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <vector>
 
 namespace elag {
 namespace ir {
@@ -15,15 +16,23 @@ Liveness::Liveness(const Function &fn)
     std::vector<BasicBlock *> order = fn.rpo();
     std::reverse(order.begin(), order.end());
     const size_t n = order.size();
+    std::map<const BasicBlock *, size_t> index;
     for (size_t i = 0; i < n; ++i)
         index[order[i]] = i;
 
-    // Per-block upward-exposed uses and defs, each vreg once: a mark
-    // holds the last block (index + 1) that defined / used the vreg.
-    const size_t limit = static_cast<size_t>(fn.vregLimit());
-    std::vector<std::vector<int>> uses(n), defs(n);
+    // One bit vector over the vregs per block: block i's set is the
+    // words [i * words, (i + 1) * words) of each array.
+    const size_t words = (static_cast<size_t>(fn.vregLimit()) + 63) / 64;
+    std::vector<uint64_t> uses(n * words), defs(n * words);
+    std::vector<uint64_t> ins(n * words), outs(n * words);
+    auto word = [&](std::vector<uint64_t> &bits, size_t i,
+                    int v) -> uint64_t & {
+        return bits[i * words + static_cast<size_t>(v) / 64];
+    };
+    auto mask = [](int v) { return uint64_t{1} << (v % 64); };
+
+    // Per-block use (upward-exposed) and def sets.
     std::vector<std::vector<size_t>> succs(n);
-    std::vector<size_t> def_mark(limit, 0), use_mark(limit, 0);
     std::vector<int> srcs;
     for (size_t i = 0; i < n; ++i) {
         for (const BasicBlock *succ : order[i]->succs)
@@ -32,46 +41,11 @@ Liveness::Liveness(const Function &fn)
             srcs.clear();
             inst.sourceRegs(srcs);
             for (int s : srcs) {
-                size_t v = static_cast<size_t>(s);
-                if (def_mark.at(v) != i + 1 && use_mark.at(v) != i + 1) {
-                    use_mark[v] = i + 1;
-                    uses[i].push_back(s);
-                }
+                if (!(word(defs, i, s) & mask(s)))
+                    word(uses, i, s) |= mask(s);
             }
-            size_t d = static_cast<size_t>(inst.dest);
-            if (inst.dest && def_mark.at(d) != i + 1) {
-                def_mark[d] = i + 1;
-                defs[i].push_back(inst.dest);
-            }
-        }
-    }
-
-    // Only a vreg with an upward-exposed use can be live at a block
-    // boundary. Number those densely, in ascending vreg order, and
-    // run the fixed point on bit vectors over that numbering.
-    std::vector<int> live_vregs;
-    for (const auto &use : uses)
-        live_vregs.insert(live_vregs.end(), use.begin(), use.end());
-    std::sort(live_vregs.begin(), live_vregs.end());
-    live_vregs.erase(std::unique(live_vregs.begin(), live_vregs.end()),
-                     live_vregs.end());
-    // bit[v] is v's position in live_vregs.
-    const size_t none = live_vregs.size();
-    std::vector<size_t> bit(limit, none);
-    for (size_t b = 0; b < live_vregs.size(); ++b)
-        bit[static_cast<size_t>(live_vregs[b])] = b;
-    const size_t words = (live_vregs.size() + 63) / 64;
-    std::vector<uint64_t> use_bits(n * words), def_bits(n * words);
-    std::vector<uint64_t> in_bits(n * words), out_bits(n * words);
-    auto set = [&](std::vector<uint64_t> &bits, size_t block, size_t b) {
-        bits[block * words + b / 64] |= uint64_t{1} << (b % 64);
-    };
-    for (size_t i = 0; i < n; ++i) {
-        for (int v : uses[i])
-            set(use_bits, i, bit[static_cast<size_t>(v)]);
-        for (int v : defs[i]) {
-            if (bit[static_cast<size_t>(v)] != none)
-                set(def_bits, i, bit[static_cast<size_t>(v)]);
+            if (inst.dest)
+                word(defs, i, inst.dest) |= mask(inst.dest);
         }
     }
 
@@ -81,54 +55,48 @@ Liveness::Liveness(const Function &fn)
     while (changed) {
         changed = false;
         for (size_t i = 0; i < n; ++i) {
-            uint64_t *out = out_bits.data() + i * words;
-            uint64_t *in = in_bits.data() + i * words;
-            const uint64_t *use = use_bits.data() + i * words;
-            const uint64_t *def = def_bits.data() + i * words;
-            for (size_t w = 0; w < words; ++w) {
-                uint64_t o = 0;
+            for (size_t w = i * words; w < (i + 1) * words; ++w) {
+                uint64_t out = 0;
                 for (size_t s : succs[i])
-                    o |= in_bits[s * words + w];
-                uint64_t x = use[w] | (o & ~def[w]);
-                if (o != out[w] || x != in[w]) {
-                    out[w] = o;
-                    in[w] = x;
+                    out |= ins[s * words + w - i * words];
+                uint64_t in = uses[w] | (out & ~defs[w]);
+                if (out != outs[w] || in != ins[w]) {
+                    outs[w] = out;
+                    ins[w] = in;
                     changed = true;
                 }
             }
         }
     }
 
-    auto materialise = [&](const uint64_t *bits) {
+    auto materialise = [&](const std::vector<uint64_t> &bits, size_t i) {
         VRegSet vregs;
         for (size_t w = 0; w < words; ++w) {
-            for (uint64_t m = bits[w]; m; m &= m - 1) {
-                size_t b = w * 64 + static_cast<size_t>(std::countr_zero(m));
-                vregs.push_back(live_vregs[b]);
+            for (uint64_t m = bits[i * words + w]; m; m &= m - 1) {
+                vregs.push_back(static_cast<int>(w * 64) +
+                                std::countr_zero(m));
             }
         }
         return vregs;
     };
-    liveIns.resize(n);
-    liveOuts.resize(n);
     for (size_t i = 0; i < n; ++i) {
-        liveIns[i] = materialise(in_bits.data() + i * words);
-        liveOuts[i] = materialise(out_bits.data() + i * words);
+        liveIns[order[i]] = materialise(ins, i);
+        liveOuts[order[i]] = materialise(outs, i);
     }
 }
 
 const Liveness::VRegSet &
 Liveness::liveIn(const BasicBlock *bb) const
 {
-    auto it = index.find(bb);
-    return it == index.end() ? empty : liveIns[it->second];
+    auto it = liveIns.find(bb);
+    return it == liveIns.end() ? empty : it->second;
 }
 
 const Liveness::VRegSet &
 Liveness::liveOut(const BasicBlock *bb) const
 {
-    auto it = index.find(bb);
-    return it == index.end() ? empty : liveOuts[it->second];
+    auto it = liveOuts.find(bb);
+    return it == liveOuts.end() ? empty : it->second;
 }
 
 } // namespace ir

@@ -6,7 +6,7 @@
 #ifndef ELAG_IR_LIVENESS_HH
 #define ELAG_IR_LIVENESS_HH
 
-#include <unordered_map>
+#include <map>
 #include <vector>
 
 #include "ir/ir.hh"
@@ -29,10 +29,8 @@ class Liveness
     const VRegSet &liveOut(const BasicBlock *bb) const;
 
   private:
-    /** Position of each reachable block in liveIns/liveOuts. */
-    std::unordered_map<const BasicBlock *, size_t> index;
-    std::vector<VRegSet> liveIns;
-    std::vector<VRegSet> liveOuts;
+    std::map<const BasicBlock *, VRegSet> liveIns;
+    std::map<const BasicBlock *, VRegSet> liveOuts;
     VRegSet empty;
 };
 

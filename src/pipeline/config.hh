@@ -58,8 +58,6 @@ struct MachineConfig
     int mulLatency = 3;
     int divLatency = 8;
     int fpLatency = 2;
-    /** Load-use latency of a normal load that hits (EA calc + D$). */
-    int loadLatency = 2;
 
     // Memory system.
     mem::CacheConfig icache{64 * 1024, 64, 1, 12, true};

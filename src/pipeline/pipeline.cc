@@ -451,9 +451,9 @@ Pipeline::handleLoad(const RetiredInst &ri, uint64_t e,
         mem::CacheAccessResult acc = dcache.access(ca, e + 1);
         ELAG_TRACE_EVT(tcCache, e + 1, "D$ access pc=%u addr=0x%x %s",
                        ri.pc, ca, acc.hit ? "hit" : "miss");
-        // The access starts in MEM (e + 1), so a hit is ready
-        // cfg.loadLatency cycles after EXE.
-        ready = acc.readyCycle + static_cast<uint64_t>(cfg.loadLatency) - 1;
+        // The access starts in MEM (e + 1), so a hit is ready 2
+        // cycles after EXE.
+        ready = acc.readyCycle + 1;
     }
 
     stats_.loadLatency.sample(ready - e);

@@ -88,7 +88,9 @@ hashConfig(const pipeline::MachineConfig &config)
     h.mix(config.mulLatency);
     h.mix(config.divLatency);
     h.mix(config.fpLatency);
-    h.mix(config.loadLatency);
+    // The normal-load latency, fixed at 2 cycles: keys name on-disk
+    // records and checkpoints, so it keeps its place in the hash.
+    h.mix(2);
     mixCacheConfig(h, config.icache);
     mixCacheConfig(h, config.dcache);
     h.mix(config.btbEntries);

@@ -25,7 +25,6 @@ TEST(Harness, PresetsMatchPaperSection51)
     EXPECT_EQ(base.memPorts, 2);
     EXPECT_EQ(base.fpAlus, 2);
     EXPECT_EQ(base.branchUnits, 1);
-    EXPECT_EQ(base.loadLatency, 2);
     EXPECT_EQ(base.icache.sizeBytes, 64u * 1024);
     EXPECT_EQ(base.dcache.sizeBytes, 64u * 1024);
     EXPECT_EQ(base.dcache.blockSize, 64u);
