@@ -105,7 +105,6 @@ void
 assignSpecifiers(const std::vector<IrInst *> &loads,
                  const std::set<int> &s_load,
                  const std::set<int> &classified,
-                 const ClassifyConfig &config,
                  std::set<int> &newly_classified)
 {
     // Partition into load-dependent and arithmetic-dependent.
@@ -135,13 +134,11 @@ assignSpecifiers(const std::vector<IrInst *> &loads,
             best_size = kv.second;
         }
     }
-    bool use_early = best_size >= config.minEarlyCalcGroup;
 
     for (IrInst *load : load_dep) {
         if (classified.count(load->loadId))
             continue;
-        bool in_winner = use_early && load->b.isImm() &&
-                         load->a.reg == best_base;
+        bool in_winner = load->b.isImm() && load->a.reg == best_base;
         load->spec = in_winner ? LoadSpec::EarlyCalc : LoadSpec::Normal;
         newly_classified.insert(load->loadId);
     }
@@ -173,8 +170,7 @@ isAbsoluteLoad(Function &fn, const IrInst &load,
 }
 
 void
-classifyFunction(Function &fn, const ClassifyConfig &config,
-                 ClassifyStats &stats)
+classifyFunction(Function &fn, ClassifyStats &stats)
 {
     fn.recomputeCfg();
     LoopInfo loop_info(fn);
@@ -182,58 +178,52 @@ classifyFunction(Function &fn, const ClassifyConfig &config,
 
     // Cyclic portion: nested loops are sorted and inner loops are
     // analyzed first (Section 4.1); inner decisions stick.
-    if (config.cyclicHeuristic) {
-        for (Loop *loop : loop_info.loopsInnermostFirst()) {
-            std::set<int> s_load = computeSLoad(loop->blocks);
-            std::vector<IrInst *> loads = loadsIn(loop->blocks);
-            std::set<int> newly;
-            assignSpecifiers(loads, s_load, classified, config, newly);
-            classified.insert(newly.begin(), newly.end());
-        }
+    for (Loop *loop : loop_info.loopsInnermostFirst()) {
+        std::set<int> s_load = computeSLoad(loop->blocks);
+        std::vector<IrInst *> loads = loadsIn(loop->blocks);
+        std::set<int> newly;
+        assignSpecifiers(loads, s_load, classified, newly);
+        classified.insert(newly.begin(), newly.end());
     }
 
     // Acyclic portion (Section 4.2): absolute loads are predicted;
     // the largest base-register group gets early calculation; the
     // rest stay normal.
-    if (config.acyclicHeuristic) {
-        std::set<BasicBlock *, ir::BlockIdLess> acyclic_blocks;
-        for (auto &bb : fn.blocks()) {
-            if (!loop_info.loopFor(bb.get()))
-                acyclic_blocks.insert(bb.get());
-        }
-        auto defs = opt::collectDefs(fn);
-        std::vector<IrInst *> loads = loadsIn(acyclic_blocks);
+    std::set<BasicBlock *, ir::BlockIdLess> acyclic_blocks;
+    for (auto &bb : fn.blocks()) {
+        if (!loop_info.loopFor(bb.get()))
+            acyclic_blocks.insert(bb.get());
+    }
+    auto defs = opt::collectDefs(fn);
+    std::vector<IrInst *> loads = loadsIn(acyclic_blocks);
 
-        std::map<int, int> group_size;
-        for (IrInst *load : loads) {
-            if (classified.count(load->loadId))
-                continue;
-            if (!isAbsoluteLoad(fn, *load, defs) && load->b.isImm())
-                ++group_size[load->a.reg];
+    std::map<int, int> group_size;
+    for (IrInst *load : loads) {
+        if (classified.count(load->loadId))
+            continue;
+        if (!isAbsoluteLoad(fn, *load, defs) && load->b.isImm())
+            ++group_size[load->a.reg];
+    }
+    int best_base = 0;
+    int best_size = 0;
+    for (const auto &kv : group_size) {
+        if (kv.second > best_size) {
+            best_base = kv.first;
+            best_size = kv.second;
         }
-        int best_base = 0;
-        int best_size = 0;
-        for (const auto &kv : group_size) {
-            if (kv.second > best_size) {
-                best_base = kv.first;
-                best_size = kv.second;
-            }
-        }
-        bool use_early = best_size >= config.minEarlyCalcGroup;
+    }
 
-        for (IrInst *load : loads) {
-            if (classified.count(load->loadId))
-                continue;
-            if (isAbsoluteLoad(fn, *load, defs)) {
-                load->spec = LoadSpec::Predict;
-            } else if (use_early && load->b.isImm() &&
-                       load->a.reg == best_base) {
-                load->spec = LoadSpec::EarlyCalc;
-            } else {
-                load->spec = LoadSpec::Normal;
-            }
-            classified.insert(load->loadId);
+    for (IrInst *load : loads) {
+        if (classified.count(load->loadId))
+            continue;
+        if (isAbsoluteLoad(fn, *load, defs)) {
+            load->spec = LoadSpec::Predict;
+        } else if (load->b.isImm() && load->a.reg == best_base) {
+            load->spec = LoadSpec::EarlyCalc;
+        } else {
+            load->spec = LoadSpec::Normal;
         }
+        classified.insert(load->loadId);
     }
 
     // Tally.
@@ -253,11 +243,11 @@ classifyFunction(Function &fn, const ClassifyConfig &config,
 } // anonymous namespace
 
 ClassifyStats
-classifyLoads(ir::Module &mod, const ClassifyConfig &config)
+classifyLoads(ir::Module &mod)
 {
     ClassifyStats stats;
     for (auto &fn : mod.functions)
-        classifyFunction(*fn, config, stats);
+        classifyFunction(*fn, stats);
     return stats;
 }
 

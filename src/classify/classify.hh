@@ -30,20 +30,6 @@
 namespace elag {
 namespace classify {
 
-/** Classifier tuning knobs. */
-struct ClassifyConfig
-{
-    /**
-     * Minimum size of the winning base-register group before R_addr
-     * is reserved for it (groups of one rarely amortize the binding).
-     */
-    int minEarlyCalcGroup = 1;
-    /** Apply the cyclic heuristic (Section 4.1). */
-    bool cyclicHeuristic = true;
-    /** Apply the acyclic heuristic (Section 4.2). */
-    bool acyclicHeuristic = true;
-};
-
 /** Static classification counts, per specifier. */
 struct ClassifyStats
 {
@@ -58,8 +44,7 @@ struct ClassifyStats
  * Classify every load in the module in place (setting
  * IrInst::spec) and return static counts.
  */
-ClassifyStats classifyLoads(ir::Module &mod,
-                            const ClassifyConfig &config = {});
+ClassifyStats classifyLoads(ir::Module &mod);
 
 /**
  * Reset every load to ld_n (the configuration used to model

@@ -26,6 +26,11 @@ using ir::Operand;
 
 namespace {
 
+/** Callee instruction-count cap for inlining. */
+constexpr size_t kInlineThreshold = 48;
+/** Maximum caller growth factor for inlining. */
+constexpr size_t kInlineGrowthLimit = 6;
+
 /** Direct callees of a function. */
 std::set<std::string>
 calleesOf(const Function &fn)
@@ -175,17 +180,14 @@ inlineCallSite(Function &caller, BasicBlock *bb, size_t call_idx,
 } // anonymous namespace
 
 bool
-inlineFunctions(Module &mod, const OptConfig &config)
+inlineFunctions(Module &mod)
 {
     bool any = false;
     std::set<std::string> recursive = findRecursive(mod);
 
     for (auto &caller : mod.functions) {
-        size_t original_size = caller->instCount();
-        size_t budget =
-            original_size *
-                static_cast<size_t>(config.inlineGrowthLimit) +
-            static_cast<size_t>(config.inlineThreshold) * 4;
+        size_t budget = caller->instCount() * kInlineGrowthLimit +
+                        kInlineThreshold * 4;
 
         // Repeatedly inline eligible call sites until none remain or
         // the growth budget is exhausted. Newly inlined calls are
@@ -208,10 +210,8 @@ inlineFunctions(Module &mod, const OptConfig &config)
                     Function *callee = mod.findFunction(inst.callee);
                     if (!callee)
                         continue;
-                    if (callee->instCount() >
-                        static_cast<size_t>(config.inlineThreshold)) {
+                    if (callee->instCount() > kInlineThreshold)
                         continue;
-                    }
                     inlineCallSite(*caller, bb.get(), i, *callee);
                     changed = true;
                     any = true;

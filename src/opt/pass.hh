@@ -33,10 +33,6 @@ struct OptConfig
     bool strengthReduction = true;
     bool dce = true;
     bool simplifyCfg = true;
-    /** Callee instruction-count cap for inlining. */
-    int inlineThreshold = 48;
-    /** Maximum caller growth factor for inlining. */
-    int inlineGrowthLimit = 6;
 
     /** All passes off (for the "unoptimized" ablation). */
     static OptConfig noneEnabled();
@@ -64,7 +60,7 @@ bool deadCodeElimination(ir::Function &fn);
 bool redundantLoadElimination(ir::Function &fn);
 bool loopInvariantCodeMotion(ir::Function &fn);
 bool strengthReduceInductionVariables(ir::Function &fn);
-bool inlineFunctions(ir::Module &mod, const OptConfig &config);
+bool inlineFunctions(ir::Module &mod);
 
 } // namespace opt
 } // namespace elag

@@ -48,7 +48,7 @@ runStandardPipeline(ir::Module &mod, const OptConfig &config)
     ir::verify(mod);
 
     if (config.inlining)
-        inlineFunctions(mod, config);
+        inlineFunctions(mod);
 
     for (auto &fn : mod.functions) {
         fn->removeUnreachable();

@@ -2,13 +2,13 @@
  * @file
  * Machine configuration for the timing model.
  *
- * Defaults reproduce the base architecture of paper Section 5.1: a
- * 6-issue in-order superscalar with 4 integer ALUs, 2 memory ports,
- * 2 FP ALUs and 1 branch unit; 64 int + 64 FP registers; 64K
- * direct-mapped I and D caches with 64-byte blocks, write-through
- * no-write-allocate D cache with a 12-cycle miss penalty; a 1K-entry
- * BTB with 2-bit counters; HP PA-7100-style latencies (1-cycle
- * integer ops, 2-cycle loads).
+ * The constants and defaults reproduce the base architecture of
+ * paper Section 5.1: a 6-issue in-order superscalar with 4 integer
+ * ALUs, 2 memory ports, 2 FP ALUs and 1 branch unit; 64 int + 64 FP
+ * registers; 64K direct-mapped I and D caches with 64-byte blocks,
+ * write-through no-write-allocate D cache with a 12-cycle miss
+ * penalty; a 1K-entry BTB with 2-bit counters; HP PA-7100-style
+ * latencies (1-cycle integer ops, 2-cycle loads).
  */
 
 #ifndef ELAG_PIPELINE_CONFIG_HH
@@ -43,26 +43,32 @@ enum class SelectionPolicy : uint8_t
     EvSelect,
 };
 
-/** Full machine configuration. */
+// The parts of the Section-5.1 machine that every configuration
+// shares: the paper varies none of them.
+
+/** Functional units per kind. */
+constexpr int kIntAlus = 4;
+constexpr int kFpAlus = 2;
+constexpr int kBranchUnits = 1;
+
+/** Latencies (cycles from issue to dependent-ready). */
+constexpr int kAluLatency = 1;
+constexpr int kMulLatency = 3;
+constexpr int kDivLatency = 8;
+constexpr int kFpLatency = 2;
+
+/** 64K direct-mapped I cache, 64-byte blocks, 12-cycle misses. */
+constexpr mem::CacheConfig kICache{64 * 1024, 64, 1, 12, true};
+constexpr uint32_t kBtbEntries = 1024;
+
+/** What varies between machines; a bench, tool or test sets each. */
 struct MachineConfig
 {
-    // Core width and functional units (Section 5.1).
+    // Core width and memory ports (Section 5.1).
     int issueWidth = 6;
-    int intAlus = 4;
     int memPorts = 2;
-    int fpAlus = 2;
-    int branchUnits = 1;
 
-    // Latencies (cycles from issue to dependent-ready).
-    int aluLatency = 1;
-    int mulLatency = 3;
-    int divLatency = 8;
-    int fpLatency = 2;
-
-    // Memory system.
-    mem::CacheConfig icache{64 * 1024, 64, 1, 12, true};
     mem::CacheConfig dcache{64 * 1024, 64, 1, 12, false};
-    uint32_t btbEntries = 1024;
 
     // Early address generation hardware.
     bool addressTableEnabled = false;

@@ -30,9 +30,9 @@ makeRetired(uint32_t pc, const Instruction &inst)
 
 Pipeline::Pipeline(const MachineConfig &config)
     : cfg(config),
-      icache(config.icache),
+      icache(kICache),
       dcache(config.dcache),
-      btb(config.btbEntries),
+      btb(kBtbEntries),
       table(config.addressTableEntries,
             config.tablePredictsWhileLearning),
       regCache(config.registerCacheSize),
@@ -87,7 +87,7 @@ Pipeline::scheduleIssue(uint64_t from, FuClass fu)
         switch (fu) {
           case FuClass::IntAlu:
             count = &u.intAlu;
-            limit = cfg.intAlus;
+            limit = kIntAlus;
             break;
           case FuClass::MemPort:
             count = &u.mem;
@@ -95,11 +95,11 @@ Pipeline::scheduleIssue(uint64_t from, FuClass fu)
             break;
           case FuClass::FpAlu:
             count = &u.fp;
-            limit = cfg.fpAlus;
+            limit = kFpAlus;
             break;
           case FuClass::Branch:
             count = &u.branch;
-            limit = cfg.branchUnits;
+            limit = kBranchUnits;
             break;
           case FuClass::None:
             break;
@@ -114,23 +114,23 @@ Pipeline::scheduleIssue(uint64_t from, FuClass fu)
 }
 
 int
-Pipeline::latencyOf(const Instruction &inst) const
+Pipeline::latencyOf(const Instruction &inst)
 {
     switch (inst.op) {
       case Opcode::MUL:
-        return cfg.mulLatency;
+        return kMulLatency;
       case Opcode::DIV:
       case Opcode::REM:
-        return cfg.divLatency;
+        return kDivLatency;
       case Opcode::FADD:
       case Opcode::FSUB:
       case Opcode::FMUL:
       case Opcode::FDIV:
       case Opcode::CVTIF:
       case Opcode::CVTFI:
-        return cfg.fpLatency;
+        return kFpLatency;
       default:
-        return cfg.aluLatency;
+        return kAluLatency;
     }
 }
 

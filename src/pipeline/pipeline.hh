@@ -142,7 +142,7 @@ class Pipeline
     /** Earliest cycle >= @p from with a free issue slot + FU. */
     uint64_t scheduleIssue(uint64_t from, isa::FuClass fu);
     /** Latency of a non-load instruction. */
-    int latencyOf(const isa::Instruction &inst) const;
+    static int latencyOf(const isa::Instruction &inst);
     /** True if an in-flight older store may conflict at @p cycle. */
     bool memInterlock(uint32_t addr, uint32_t bytes,
                       uint64_t cycle) const;

@@ -9,11 +9,19 @@
 
 #include "obs/span.hh"
 #include "serve/framing.hh"
+#include "support/backoff.hh"
 #include "support/json.hh"
 #include "support/logging.hh"
 
 namespace elag {
 namespace serve {
+
+namespace {
+
+/** Ceiling of ReconnectingClient's retry backoff. */
+constexpr uint64_t kCapDelayMs = 1000;
+
+} // anonymous namespace
 
 Client
 Client::connectTo(const std::string &socket_path)
@@ -94,12 +102,8 @@ ReconnectingClient::call(const Request &request)
             if (attempt >= retry_.maxAttempts)
                 throw;
             ++retries_;
-            uint64_t delay = retry_.baseDelayMs;
-            for (uint32_t i = 1;
-                 i < attempt && delay < retry_.capDelayMs; ++i) {
-                delay *= 2;
-            }
-            delay = std::min(delay, retry_.capDelayMs);
+            uint64_t delay = cappedDoubling(retry_.baseDelayMs,
+                                            attempt, kCapDelayMs);
             // Full jitter: anywhere in [delay/2, delay].
             uint64_t floor = delay / 2;
             delay = floor + (delay > floor

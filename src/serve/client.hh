@@ -55,10 +55,11 @@ struct RetryConfig
 {
     /** Total attempts per call(); 1 disables retry. */
     uint32_t maxAttempts = 4;
-    /** Backoff before the first retry; doubled per further retry. */
+    /**
+     * Backoff before the first retry; doubled per further retry up
+     * to 1 s.
+     */
     uint64_t baseDelayMs = 20;
-    /** Backoff ceiling. */
-    uint64_t capDelayMs = 1000;
 };
 
 /**

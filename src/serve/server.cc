@@ -53,8 +53,7 @@ struct ServeCounters
 
 Server::Server(const ServerConfig &config)
     : cfg(config),
-      router(RouterConfig{config.defaultDeadlineMs, config.persist,
-                          config.checkpointDir, config.checkpointEvery}),
+      router(config.router),
       frontend(config.socketPath, config.tcpPort, config.maxFrameBytes,
                "request", serverTrace,
                [this](const Request &request, const std::string &) {
@@ -235,12 +234,12 @@ Server::statsJson() const
     w.field("capacity", static_cast<uint64_t>(cache.capacity()));
     w.endObject();
 
-    if (cfg.persist) {
-        cache::PersistentStore::Stats ps = cfg.persist->stats();
+    if (cfg.router.persist) {
+        cache::PersistentStore::Stats ps = cfg.router.persist->stats();
         w.key("persist").beginObject();
-        w.field("dir", cfg.persist->dir());
+        w.field("dir", cfg.router.persist->dir());
         w.field("entries",
-                static_cast<uint64_t>(cfg.persist->size()));
+                static_cast<uint64_t>(cfg.router.persist->size()));
         w.field("appends", ps.appends);
         w.field("dedup_skipped", ps.dedupSkipped);
         w.field("hits", ps.hits);

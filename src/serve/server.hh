@@ -46,27 +46,16 @@ struct ServerConfig
     uint16_t tcpPort = 0;
     /** Admission queue depth: max requests waiting for a worker. */
     uint32_t queueDepth = 64;
-    /** Deadline for requests that carry none; 0 = unlimited. */
-    uint64_t defaultDeadlineMs = 0;
     /** Per-frame payload cap. */
     size_t maxFrameBytes = kMaxFramePayload;
     /** Worker pool; null uses parallel::ThreadPool::shared(). */
     parallel::ThreadPool *pool = nullptr;
     /**
-     * Durable result cache layered under the RunCache (not owned);
-     * null runs memory-only. Shard workers and the embedded daemon
-     * both wire this from --cache-dir.
+     * How work verbs run: default deadline, durable result cache and
+     * mid-request checkpoints. Shard workers and the embedded daemon
+     * both wire these from elagd's flags.
      */
-    cache::PersistentStore *persist = nullptr;
-    /**
-     * Durable mid-request simulate checkpoints (see RouterConfig);
-     * shard workers wire this from elagd --checkpoint-dir so a
-     * supervisor-restarted worker finishes the interval instead of
-     * replaying it. Empty disables.
-     */
-    std::string checkpointDir;
-    /** Retires between request snapshots (0 = the 5M default). */
-    uint64_t checkpointEvery = 0;
+    RouterConfig router;
 };
 
 class Server

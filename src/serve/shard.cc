@@ -9,12 +9,34 @@
 #include "serve/framing.hh"
 #include "serve/protocol.hh"
 #include "serve/socket.hh"
+#include "support/backoff.hh"
 #include "support/logging.hh"
 
 namespace elag {
 namespace serve {
 
 namespace {
+
+/** Respawn delay after the first crash of a streak. */
+constexpr uint64_t kBackoffBaseMs = 50;
+/** Upper bound on the exponential respawn delay. */
+constexpr uint64_t kBackoffCapMs = 5000;
+/** Uptime that resets a shard's crash streak. */
+constexpr uint64_t kStableMs = 10'000;
+/** How long a tripped breaker parks the shard before a probe. */
+constexpr uint64_t kBreakerCooldownMs = 10'000;
+/** Monitor tick. */
+constexpr uint64_t kPollIntervalMs = 50;
+/** Gap between heartbeats to one Up shard. */
+constexpr uint64_t kHeartbeatIntervalMs = 500;
+/** Budget for one heartbeat round-trip before it counts missed. */
+constexpr uint64_t kHeartbeatTimeoutMs = 2000;
+/** Consecutive missed heartbeats that declare a hang. */
+constexpr uint32_t kHeartbeatMisses = 3;
+/** Spawn-to-first-heartbeat budget before a worker is hung. */
+constexpr uint64_t kStartupGraceMs = 10'000;
+/** SIGTERM-to-SIGKILL budget per worker at stop(). */
+constexpr uint64_t kStopTimeoutMs = 5000;
 
 uint64_t
 monotonicMs()
@@ -85,16 +107,10 @@ exchangeFrame(const std::string &socket_path, const std::string &request,
 }
 
 uint64_t
-RestartPolicy::delayMs(uint32_t streak) const
+RestartPolicy::delayMs(uint32_t streak)
 {
     elag_assert(streak >= 1);
-    uint64_t delay = backoffBaseMs;
-    for (uint32_t i = 1; i < streak; ++i) {
-        if (delay >= backoffCapMs / 2)
-            return backoffCapMs;
-        delay *= 2;
-    }
-    return std::min(delay, backoffCapMs);
+    return cappedDoubling(kBackoffBaseMs, streak, kBackoffCapMs);
 }
 
 ShardManager::ShardManager(const ShardManagerConfig &config)
@@ -153,7 +169,7 @@ ShardManager::stop()
     for (pid_t pid : pids)
         killSpawnedGroup(pid, SIGTERM);
     for (pid_t pid : pids) {
-        SpawnedStatus status = waitSpawned(pid, cfg.stopTimeoutMs);
+        SpawnedStatus status = waitSpawned(pid, kStopTimeoutMs);
         if (status.running) {
             warn("elagd: shard pid %d ignored SIGTERM; killing",
                  static_cast<int>(pid));
@@ -198,8 +214,7 @@ ShardManager::recordDeathLocked(uint32_t index,
                                 uint64_t now_ms)
 {
     Shard &shard = shards_[index];
-    bool wasStable =
-        now_ms - shard.spawnedAtMs >= cfg.restart.stableMs;
+    bool wasStable = now_ms - shard.spawnedAtMs >= kStableMs;
     shard.crashStreak = wasStable ? 1 : shard.crashStreak + 1;
     shard.pid = -1;
     shard.missedBeats = 0;
@@ -209,11 +224,11 @@ ShardManager::recordDeathLocked(uint32_t index,
 
     if (cfg.restart.breakerTrips(shard.crashStreak)) {
         shard.state = ShardState::Broken;
-        shard.retryAtMs = now_ms + cfg.restart.breakerCooldownMs;
+        shard.retryAtMs = now_ms + kBreakerCooldownMs;
         warn("elagd: shard %u crash-looping (%u in a row, %s); "
              "breaker open for %llu ms",
              index, shard.crashStreak, reason.c_str(),
-             (unsigned long long)cfg.restart.breakerCooldownMs);
+             (unsigned long long)kBreakerCooldownMs);
     } else {
         uint64_t delay = cfg.restart.delayMs(shard.crashStreak);
         shard.state = ShardState::Backoff;
@@ -267,10 +282,9 @@ ShardManager::monitorLoop()
                       }
                       bool due =
                           shard.state == ShardState::Starting
-                              ? now - shard.lastBeatMs >=
-                                    cfg.pollIntervalMs
+                              ? now - shard.lastBeatMs >= kPollIntervalMs
                               : now - shard.lastBeatMs >=
-                                    cfg.heartbeatIntervalMs;
+                                    kHeartbeatIntervalMs;
                       if (due) {
                           shard.lastBeatMs = now;
                           probes.push_back(
@@ -295,7 +309,7 @@ ShardManager::monitorLoop()
             std::string pong;
             bool alive = exchangeFrame(probe.socket, ping_doc,
                                        kMaxFramePayload,
-                                       cfg.heartbeatTimeoutMs,
+                                       kHeartbeatTimeoutMs,
                                        pong) == Exchange::Ok;
             std::lock_guard<std::mutex> lock(mu);
             Shard &shard = shards_[probe.index];
@@ -322,14 +336,13 @@ ShardManager::monitorLoop()
             if (shard.state == ShardState::Starting) {
                 // Workers get a startup grace to bind their socket;
                 // past it an unresponsive worker is hung.
-                if (monotonicMs() - shard.spawnedAtMs >
-                    cfg.startupGraceMs) {
+                if (monotonicMs() - shard.spawnedAtMs > kStartupGraceMs) {
                     shard.pendingReason = "hang";
                     killSpawnedGroup(shard.pid, SIGKILL);
                 }
                 continue;
             }
-            if (++shard.missedBeats >= cfg.heartbeatMisses) {
+            if (++shard.missedBeats >= kHeartbeatMisses) {
                 warn("elagd: shard %u missed %u heartbeats; "
                      "killing",
                      probe.index, shard.missedBeats);
@@ -339,7 +352,7 @@ ShardManager::monitorLoop()
         }
 
         std::this_thread::sleep_for(
-            std::chrono::milliseconds(cfg.pollIntervalMs));
+            std::chrono::milliseconds(kPollIntervalMs));
     }
 }
 

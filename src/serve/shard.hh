@@ -52,22 +52,14 @@ namespace serve {
 /** Backoff + circuit-breaker arithmetic, pure and unit-testable. */
 struct RestartPolicy
 {
-    /** Respawn delay after the first crash of a streak. */
-    uint64_t backoffBaseMs = 50;
-    /** Upper bound on the exponential respawn delay. */
-    uint64_t backoffCapMs = 5000;
-    /** Uptime that resets a shard's crash streak. */
-    uint64_t stableMs = 10'000;
     /** Streak length that trips the circuit breaker. */
     uint32_t breakerThreshold = 5;
-    /** How long a tripped breaker parks the shard before a probe. */
-    uint64_t breakerCooldownMs = 10'000;
 
     /**
      * Respawn delay for the @p streak-th consecutive crash
-     * (streak >= 1): base doubled per extra crash, capped.
+     * (streak >= 1): 50 ms doubled per extra crash, capped at 5 s.
      */
-    uint64_t delayMs(uint32_t streak) const;
+    static uint64_t delayMs(uint32_t streak);
 
     /** @return true when @p streak trips the circuit breaker. */
     bool
@@ -127,18 +119,6 @@ struct ShardManagerConfig
     RestartPolicy restart;
     /** Crashes per routing hash before quarantine. */
     uint32_t quarantineThreshold = 3;
-    /** Monitor tick. */
-    uint64_t pollIntervalMs = 50;
-    /** Gap between heartbeats to one Up shard. */
-    uint64_t heartbeatIntervalMs = 500;
-    /** Budget for one heartbeat round-trip before it counts missed. */
-    uint64_t heartbeatTimeoutMs = 2000;
-    /** Consecutive missed heartbeats that declare a hang. */
-    uint32_t heartbeatMisses = 3;
-    /** Spawn-to-first-heartbeat budget before a worker is hung. */
-    uint64_t startupGraceMs = 10'000;
-    /** SIGTERM-to-SIGKILL budget per worker at stop(). */
-    uint64_t stopTimeoutMs = 5000;
 };
 
 class ShardManager

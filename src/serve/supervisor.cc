@@ -4,6 +4,7 @@
 
 #include "obs/build_info.hh"
 #include "obs/metrics.hh"
+#include "serve/framing.hh"
 #include "serve/protocol.hh"
 #include "serve/routing.hh"
 #include "support/json.hh"
@@ -17,6 +18,9 @@ namespace serve {
 namespace {
 
 trace::Channel &supTrace = trace::channel("supervisor");
+
+/** Extra proxy-read budget past the request's own deadline. */
+constexpr uint64_t kProxyGraceMs = 2000;
 
 obs::Counter &
 quarantinedCounter()
@@ -32,7 +36,7 @@ quarantinedCounter()
 
 Supervisor::Supervisor(const SupervisorConfig &config)
     : cfg(config),
-      frontend(config.socketPath, config.tcpPort, config.maxFrameBytes,
+      frontend(config.socketPath, config.tcpPort, kMaxFramePayload,
                "proxy", supTrace,
                [this](const Request &request, const std::string &raw) {
                    return handle(request, raw);
@@ -158,8 +162,7 @@ Supervisor::proxyWork(const Request &request,
     // killing the worker, which surfaces here as a died stream.
     uint64_t deadline = request.deadlineMs ? request.deadlineMs
                                            : cfg.defaultDeadlineMs;
-    uint64_t timeout_ms =
-        deadline ? deadline + cfg.proxyGraceMs : 0;
+    uint64_t timeout_ms = deadline ? deadline + kProxyGraceMs : 0;
 
     std::vector<uint32_t> order =
         failoverOrder(hash, cfg.shards.shards);
@@ -172,7 +175,7 @@ Supervisor::proxyWork(const Request &request,
         std::string response;
         Exchange outcome =
             exchangeFrame(shards_->socketPathOf(index), raw_payload,
-                          cfg.maxFrameBytes, timeout_ms, response);
+                          kMaxFramePayload, timeout_ms, response);
         switch (outcome) {
           case Exchange::Ok:
             return response;
@@ -267,7 +270,7 @@ Supervisor::aggregateMetrics(const Request &request)
             continue;
         std::string payload;
         if (exchangeFrame(info.socketPath, scrape_doc,
-                          cfg.maxFrameBytes, 2000,
+                          kMaxFramePayload, 2000,
                           payload) != Exchange::Ok) {
             continue;
         }

@@ -50,7 +50,6 @@
 #include <memory>
 #include <string>
 
-#include "serve/framing.hh"
 #include "serve/frontend.hh"
 #include "serve/protocol.hh"
 #include "serve/shard.hh"
@@ -71,9 +70,6 @@ struct SupervisorConfig
     uint32_t queueDepth = 64;
     /** Deadline for requests that carry none; 0 = unlimited. */
     uint64_t defaultDeadlineMs = 0;
-    /** Extra proxy-read budget past the request's own deadline. */
-    uint64_t proxyGraceMs = 2000;
-    size_t maxFrameBytes = kMaxFramePayload;
     /** Worker fleet shape (shard count, argv, restart policy...). */
     ShardManagerConfig shards;
 };

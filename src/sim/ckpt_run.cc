@@ -2,6 +2,7 @@
 
 #include "ckpt/checkpoint.hh"
 #include "obs/span.hh"
+#include "sim/decoded.hh"
 #include "sim/run_cache.hh"
 #include "support/hash.hh"
 #include "support/logging.hh"

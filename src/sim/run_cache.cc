@@ -3,6 +3,7 @@
 #include <chrono>
 
 #include "obs/metrics.hh"
+#include "sim/decoded.hh"
 #include "support/hash.hh"
 #include "support/logging.hh"
 
@@ -79,21 +80,22 @@ uint64_t
 hashConfig(const pipeline::MachineConfig &config)
 {
     Fnv1a h(Fnv1a::kContentBasis);
+    // Keys name on-disk records and checkpoints, so each fixed part
+    // of the machine keeps the place its field had in the hash; the
+    // normal-load latency is fixed at 2 cycles.
     h.mix(config.issueWidth);
-    h.mix(config.intAlus);
+    h.mix(pipeline::kIntAlus);
     h.mix(config.memPorts);
-    h.mix(config.fpAlus);
-    h.mix(config.branchUnits);
-    h.mix(config.aluLatency);
-    h.mix(config.mulLatency);
-    h.mix(config.divLatency);
-    h.mix(config.fpLatency);
-    // The normal-load latency, fixed at 2 cycles: keys name on-disk
-    // records and checkpoints, so it keeps its place in the hash.
+    h.mix(pipeline::kFpAlus);
+    h.mix(pipeline::kBranchUnits);
+    h.mix(pipeline::kAluLatency);
+    h.mix(pipeline::kMulLatency);
+    h.mix(pipeline::kDivLatency);
+    h.mix(pipeline::kFpLatency);
     h.mix(2);
-    mixCacheConfig(h, config.icache);
+    mixCacheConfig(h, pipeline::kICache);
     mixCacheConfig(h, config.dcache);
-    h.mix(config.btbEntries);
+    h.mix(pipeline::kBtbEntries);
     h.mix(config.addressTableEnabled ? 1 : 0);
     h.mix(config.addressTableEntries);
     h.mix(config.tablePredictsWhileLearning ? 1 : 0);

@@ -41,9 +41,6 @@
 namespace elag {
 namespace sim {
 
-/** Content hash of a linked machine program. */
-uint64_t hashProgram(const isa::MachineProgram &program);
-
 /** Content hash of a machine configuration. */
 uint64_t hashConfig(const pipeline::MachineConfig &config);
 

@@ -69,9 +69,7 @@ compile(const std::string &source, const CompileOptions &options)
     {
         obs::Span span("classify", "pipeline");
         if (options.runClassifier) {
-            prog.classStats =
-                classify::classifyLoads(*prog.module,
-                                        options.classify);
+            prog.classStats = classify::classifyLoads(*prog.module);
         } else {
             classify::clearClassification(*prog.module);
             // Count everything as normal for reporting purposes.

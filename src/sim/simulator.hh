@@ -35,7 +35,6 @@ namespace sim {
 struct CompileOptions
 {
     opt::OptConfig opt;
-    classify::ClassifyConfig classify;
     /** Run the Section-4 classifier (false leaves every load ld_n). */
     bool runClassifier = true;
 };

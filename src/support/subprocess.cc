@@ -239,8 +239,6 @@ spawnSubprocess(const std::vector<std::string> &argv,
         // both, yet still stops its workers with SIGTERM.
         signal(SIGTERM, SIG_DFL);
         signal(SIGINT, SIG_DFL);
-        if (limits.cpuSeconds)
-            setLimit(RLIMIT_CPU, limits.cpuSeconds);
         if (limits.addressSpaceBytes)
             setLimit(RLIMIT_AS, limits.addressSpaceBytes);
         execvp(cargv[0], cargv.data());

@@ -91,16 +91,14 @@ SubprocessResult runSubprocess(const std::vector<std::string> &argv,
 std::string describeSubprocessResult(const SubprocessResult &result);
 
 /**
- * Resource caps applied to a long-lived spawned child. Unlike
- * SubprocessLimits there is no wall-clock cap: supervision-tree
- * children live until their supervisor stops them, and hang
- * detection is the supervisor's job (heartbeats, per-request
- * deadlines), not the spawn layer's.
+ * Resource cap applied to a long-lived spawned child. Unlike
+ * SubprocessLimits there is no wall-clock or CPU cap:
+ * supervision-tree children live until their supervisor stops them,
+ * and hang detection is the supervisor's job (heartbeats,
+ * per-request deadlines), not the spawn layer's.
  */
 struct SpawnLimits
 {
-    /** RLIMIT_CPU in seconds (kernel delivers SIGXCPU/SIGKILL). */
-    uint64_t cpuSeconds = 0;
     /** RLIMIT_AS in bytes (allocations past it fail in the child). */
     uint64_t addressSpaceBytes = 0;
 };

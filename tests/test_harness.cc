@@ -21,16 +21,16 @@ TEST(Harness, PresetsMatchPaperSection51)
 {
     MachineConfig base = MachineConfig::baseline();
     EXPECT_EQ(base.issueWidth, 6);
-    EXPECT_EQ(base.intAlus, 4);
+    EXPECT_EQ(pipeline::kIntAlus, 4);
     EXPECT_EQ(base.memPorts, 2);
-    EXPECT_EQ(base.fpAlus, 2);
-    EXPECT_EQ(base.branchUnits, 1);
-    EXPECT_EQ(base.icache.sizeBytes, 64u * 1024);
+    EXPECT_EQ(pipeline::kFpAlus, 2);
+    EXPECT_EQ(pipeline::kBranchUnits, 1);
+    EXPECT_EQ(pipeline::kICache.sizeBytes, 64u * 1024);
     EXPECT_EQ(base.dcache.sizeBytes, 64u * 1024);
     EXPECT_EQ(base.dcache.blockSize, 64u);
     EXPECT_EQ(base.dcache.missPenalty, 12u);
     EXPECT_FALSE(base.dcache.writeAllocate);
-    EXPECT_EQ(base.btbEntries, 1024u);
+    EXPECT_EQ(pipeline::kBtbEntries, 1024u);
     EXPECT_FALSE(base.addressTableEnabled);
     EXPECT_FALSE(base.earlyCalcEnabled);
 

@@ -316,7 +316,7 @@ TEST(CacheServe, PersistentStoreWarmsServerAcrossRestart)
         ServerConfig config;
         config.socketPath = testSocketPath();
         config.pool = &pool;
-        config.persist = &store;
+        config.router.persist = &store;
         Server server(config);
         server.start();
         Client client = Client::connectTo(config.socketPath);
@@ -341,7 +341,7 @@ TEST(CacheServe, PersistentStoreWarmsServerAcrossRestart)
     ServerConfig config;
     config.socketPath = testSocketPath();
     config.pool = &pool;
-    config.persist = &store;
+    config.router.persist = &store;
     Server server(config);
     server.start();
     Client client = Client::connectTo(config.socketPath);

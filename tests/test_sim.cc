@@ -15,6 +15,7 @@
 #include "isa/builder.hh"
 #include "obs/span.hh"
 #include "sim/ckpt_run.hh"
+#include "sim/decoded.hh"
 #include "sim/run_cache.hh"
 #include "sim/simulator.hh"
 #include "support/json.hh"
@@ -277,6 +278,55 @@ TEST(Sim, ContentHashesHaveKnownAnswers)
     EXPECT_EQ(sim::hashProgram(prog), 0xde098ba0bed159a9ull);
     EXPECT_EQ(sim::hashConfig(MachineConfig::proposed()),
               0x942dfb2b69f6e601ull);
+}
+
+TEST(Sim, StatsDocumentsHaveKnownAnswers)
+{
+    // Cycle counts have no oracle but the model, and the latencies,
+    // unit counts, I$ and BTB of the Section-5.1 machine are fixed,
+    // so pin what they produce. Between them the three workloads
+    // execute MUL, DIV and REM, taken branches and I$ misses; the
+    // last two rows reach the memPorts and tablePredictsWhileLearning
+    // paths. Each hash is workloads::synthetic::sourceHash of the
+    // stats document against the baseline machine.
+    MachineConfig proposed = MachineConfig::proposed();
+    MachineConfig onePort = proposed;
+    onePort.memPorts = 1;
+    MachineConfig learning = proposed;
+    learning.tablePredictsWhileLearning = true;
+    struct Known
+    {
+        const char *workload;
+        const MachineConfig &machine;
+        uint64_t baselineCycles;
+        uint64_t cycles;
+        const char *docHash;
+    };
+    const Known known[] = {
+        {"gs", proposed, 180468, 162418, "e5fd2ef8c896940a"},
+        {"130.li", proposed, 508198, 475669, "1a5f4727b373a6c0"},
+        {"134.perl", proposed, 1326038, 1292535, "a118e4787b219e32"},
+        {"130.li", onePort, 508198, 538918, "88e3adc0742fb35b"},
+        {"130.li", learning, 508198, 475669, "8cffc90fbf022428"},
+    };
+    setQuiet(true);
+    const uint64_t cap = 500'000'000;
+    auto &cache = sim::RunCache::instance();
+    for (const Known &k : known) {
+        SCOPED_TRACE(k.workload);
+        const auto *w = workloads::findWorkload(k.workload);
+        ASSERT_NE(w, nullptr);
+        sim::CompiledProgram prog = sim::compile(w->source);
+        sim::TimedResult base =
+            cache.run(prog, MachineConfig::baseline(), cap);
+        sim::RunCache::Report report = cache.runReport(prog, k.machine, cap);
+        EXPECT_EQ(base.pipe.cycles, k.baselineCycles);
+        EXPECT_EQ(report.timed.pipe.cycles, k.cycles);
+        EXPECT_EQ(workloads::synthetic::sourceHash(sim::statsReportJson(
+                      k.workload, "proposed", "", prog, base, report.timed,
+                      report.telemetry)),
+                  k.docHash);
+    }
 }
 
 TEST(Sim, ServedAndCheckpointedStatsRunsAgree)

@@ -14,6 +14,7 @@
 
 #include "obs/metrics.hh"
 #include "serve/protocol.hh"
+#include "support/backoff.hh"
 #include "support/hash.hh"
 #include "support/json.hh"
 #include "support/logging.hh"
@@ -68,6 +69,31 @@ TEST(Hash, Fnv1aMatchesPublishedVectors)
     Fnv1a bytes;
     bytes.mixBytes(le, sizeof(le));
     EXPECT_EQ(word.value(), bytes.value());
+}
+
+TEST(Backoff, CappedDoublingSaturatesWithoutOverflow)
+{
+    const uint64_t cap = 5000;
+    EXPECT_EQ(cappedDoubling(50, 0, cap), 50u); // read as step 1
+    EXPECT_EQ(cappedDoubling(50, 1, cap), 50u);
+    EXPECT_EQ(cappedDoubling(50, 2, cap), 100u);
+    EXPECT_EQ(cappedDoubling(50, 7, cap), 3200u);
+    EXPECT_EQ(cappedDoubling(50, 8, cap), cap);
+    for (uint64_t step : {63ull, 64ull, 65ull, 0xffffffffull})
+        EXPECT_EQ(cappedDoubling(50, step, cap), cap) << step;
+    for (uint64_t step : {1ull, 2ull, 63ull, 64ull, 65ull, 0xffffffffull}) {
+        EXPECT_EQ(cappedDoubling(0, step, cap), 0u) << step;
+        EXPECT_EQ(cappedDoubling(9000, step, cap), cap) << step;
+    }
+
+    // With no effective cap the value reaches the top bit at step 64
+    // and saturates after it instead of shifting by 64 bits.
+    const uint64_t none = UINT64_MAX;
+    EXPECT_EQ(cappedDoubling(1, 63, none), 1ull << 62);
+    EXPECT_EQ(cappedDoubling(1, 64, none), 1ull << 63);
+    EXPECT_EQ(cappedDoubling(1, 65, none), none);
+    EXPECT_EQ(cappedDoubling(3, 64, none), none);
+    EXPECT_EQ(cappedDoubling(1, 0xffffffffull, none), none);
 }
 
 TEST(Random, Deterministic)

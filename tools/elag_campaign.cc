@@ -79,6 +79,7 @@
 #include "obs/metrics.hh"
 #include "obs/span.hh"
 #include "sim/simulator.hh"
+#include "support/backoff.hh"
 #include "support/hash.hh"
 #include "support/json.hh"
 #include "support/logging.hh"
@@ -97,6 +98,9 @@ using namespace elag;
 namespace {
 
 volatile std::sig_atomic_t gStopSignal = 0;
+
+/** Ceiling of one retry backoff sleep; shard respawns use 5 s too. */
+constexpr uint64_t kMaxBackoffMs = 5000;
 
 extern "C" void
 onStopSignal(int sig)
@@ -803,8 +807,10 @@ Coordinator::runWithRetries(const Job &job)
             attempt > opts.retries || gStopSignal) {
             return outcome;
         }
-        // Exponential backoff before the retry.
-        uint64_t napMs = opts.backoffMs << (attempt - 1);
+        // Exponential backoff before the retry, capped so a stop
+        // signal is seen within one capped sleep.
+        uint64_t napMs =
+            cappedDoubling(opts.backoffMs, attempt, kMaxBackoffMs);
         std::this_thread::sleep_for(std::chrono::milliseconds(napMs));
     }
 }
@@ -1167,7 +1173,7 @@ usage()
         "  --retries=N         retries for transient failures "
         "(default 1)\n"
         "  --backoff-ms=N      base retry backoff (default 100, "
-        "doubles)\n"
+        "doubles, capped at 5 s)\n"
         "  --timeout-ms=N      per-job wall-clock kill (default "
         "120000)\n"
         "  --cpu-limit=SEC     per-job RLIMIT_CPU\n"
@@ -1215,13 +1221,8 @@ numericArg(const std::string &arg, const char *prefix, uint64_t &out,
 {
     if (!startsWith(arg, prefix))
         return false;
-    std::string text = arg.substr(std::strlen(prefix));
-    if (!parseUint64(text, out)) {
-        std::fprintf(stderr,
-                     "elag_campaign: invalid numeric value in '%s'\n",
-                     arg.c_str());
+    if (!parseNumericFlag("elag_campaign", arg, prefix, out))
         bad = true;
-    }
     return true;
 }
 

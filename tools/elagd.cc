@@ -246,10 +246,10 @@ runServer(const Options &opts)
     config.socketPath = opts.socket;
     config.tcpPort = opts.tcpPort;
     config.queueDepth = opts.queueDepth;
-    config.defaultDeadlineMs = opts.deadlineMs;
-    config.persist = persist.get();
-    config.checkpointDir = opts.checkpointDir;
-    config.checkpointEvery = opts.checkpointEvery;
+    config.router.defaultDeadlineMs = opts.deadlineMs;
+    config.router.persist = persist.get();
+    config.router.checkpointDir = opts.checkpointDir;
+    config.router.checkpointEvery = opts.checkpointEvery;
 
     serve::Server server(config);
     try {
