@@ -24,18 +24,18 @@ Cache::Cache(const CacheConfig &config)
     lines.assign(static_cast<size_t>(numSets) * cfg.assoc, Line());
 }
 
-Cache::Line *
-Cache::findLine(uint32_t addr)
+ptrdiff_t
+Cache::findLine(uint32_t addr) const
 {
     uint32_t block = blockFor(addr);
     uint32_t set = setFor(block);
     uint32_t tag = tagFor(block);
     for (uint32_t w = 0; w < cfg.assoc; ++w) {
-        Line &line = lines[static_cast<size_t>(set) * cfg.assoc + w];
-        if (line.valid && line.tag == tag)
-            return &line;
+        size_t index = static_cast<size_t>(set) * cfg.assoc + w;
+        if (lines[index].valid && lines[index].tag == tag)
+            return static_cast<ptrdiff_t>(index);
     }
-    return nullptr;
+    return -1;
 }
 
 CacheAccessResult
@@ -43,8 +43,10 @@ Cache::access(uint32_t addr, uint64_t cycle, bool allocate_on_miss,
               uint32_t extra_penalty)
 {
     CacheAccessResult result;
-    Line *line = findLine(addr);
-    if (line) {
+    ptrdiff_t found = findLine(addr);
+    if (found >= 0) {
+        lastLine = static_cast<size_t>(found);
+        Line *line = &lines[lastLine];
         line->lastUsed = cycle;
         if (line->fillDone <= cycle) {
             ++numHits;
@@ -77,6 +79,7 @@ Cache::access(uint32_t addr, uint64_t cycle, bool allocate_on_miss,
             if (!victim || cand.lastUsed < victim->lastUsed)
                 victim = &cand;
         }
+        lastLine = static_cast<size_t>(victim - lines.data());
         victim->valid = true;
         victim->tag = tagFor(block);
         victim->lastUsed = cycle;
@@ -97,34 +100,25 @@ Btb::Btb(uint32_t num_entries)
 }
 
 Btb::Prediction
-Btb::predict(uint32_t pc) const
-{
-    const Entry &entry = table[indexOf(pc)];
-    Prediction pred;
-    if (entry.valid && entry.tag == tagOf(pc)) {
-        pred.hit = true;
-        pred.taken = entry.counter >= 2;
-        pred.target = entry.target;
-    }
-    return pred;
-}
-
-void
-Btb::update(uint32_t pc, bool taken, uint32_t target)
+Btb::resolve(uint32_t pc, bool taken, uint32_t target)
 {
     Entry &entry = table[indexOf(pc)];
     uint32_t tag = tagOf(pc);
+    Prediction pred;
     if (!entry.valid || entry.tag != tag) {
         // Allocate on taken branches only; not-taken branches fall
         // through and need no BTB entry.
-        if (!taken)
-            return;
-        entry.valid = true;
-        entry.tag = tag;
-        entry.target = target;
-        entry.counter = 2;
-        return;
+        if (taken) {
+            entry.valid = true;
+            entry.tag = tag;
+            entry.target = target;
+            entry.counter = 2;
+        }
+        return pred;
     }
+    pred.hit = true;
+    pred.taken = entry.counter >= 2;
+    pred.target = entry.target;
     if (taken) {
         if (entry.counter < 3)
             ++entry.counter;
@@ -132,6 +126,7 @@ Btb::update(uint32_t pc, bool taken, uint32_t target)
     } else if (entry.counter > 0) {
         --entry.counter;
     }
+    return pred;
 }
 
 void

@@ -13,8 +13,9 @@
 #define ELAG_MEM_CACHE_HH
 
 #include <bit>
+#include <cassert>
+#include <cstddef>
 #include <cstdint>
-#include <map>
 #include <vector>
 
 namespace elag {
@@ -69,6 +70,21 @@ class Cache
                              bool allocate_on_miss = true,
                              uint32_t extra_penalty = 0);
 
+    /**
+     * A hit at @p cycle on the block the last access() found or
+     * allocated, with no tag lookup. The caller guarantees that no
+     * other access came in between and that the block's fill is done
+     * by @p cycle; the hit count and LRU stamp then match access().
+     */
+    void
+    rehitLast(uint64_t cycle)
+    {
+        Line &line = lines[lastLine];
+        assert(line.valid && line.fillDone <= cycle);
+        line.lastUsed = cycle;
+        ++numHits;
+    }
+
     const CacheConfig &config() const { return cfg; }
 
     // Statistics.
@@ -95,8 +111,9 @@ class Cache
     };
 
     // The geometry divisions sit on the per-retired-instruction hot
-    // path (one I$ access per instruction); with the usual
-    // power-of-two geometry they reduce to shifts and masks.
+    // path (one I$ access per fetch block, plus every D$ access);
+    // with the usual power-of-two geometry they reduce to shifts and
+    // masks.
     uint32_t blockFor(uint32_t addr) const
     {
         return pow2Geometry ? addr >> blockShift
@@ -110,7 +127,8 @@ class Cache
     {
         return pow2Geometry ? block >> setShift : block / numSets;
     }
-    Line *findLine(uint32_t addr);
+    /** Index of the valid line holding @p addr, or -1. */
+    ptrdiff_t findLine(uint32_t addr) const;
 
     CacheConfig cfg;
     uint32_t numSets;
@@ -119,6 +137,8 @@ class Cache
     uint32_t setShift = 0;
     uint32_t setMask = 0;
     std::vector<Line> lines; ///< numSets * assoc, set-major
+    /** Index of the line the last access() found or allocated. */
+    size_t lastLine = 0;
     uint64_t numHits = 0;
     uint64_t numMisses = 0;
     uint64_t numMerges = 0;
@@ -141,10 +161,11 @@ class Btb
         uint32_t target = 0;     ///< stored target
     };
 
-    Prediction predict(uint32_t pc) const;
-
-    /** Train with the resolved outcome. */
-    void update(uint32_t pc, bool taken, uint32_t target);
+    /**
+     * The prediction for the branch at @p pc, then train its entry
+     * with the resolved outcome, in one lookup.
+     */
+    Prediction resolve(uint32_t pc, bool taken, uint32_t target);
 
     /** Checkpoint every entry; geometry must match on restore. */
     void serialize(ckpt::Writer &w) const;
@@ -159,7 +180,7 @@ class Btb
         uint8_t counter = 0; ///< 2-bit saturating
     };
 
-    // Two lookups per retired branch; shift/mask when pow2-sized.
+    // One lookup per retired branch; shift/mask when pow2-sized.
     uint32_t indexOf(uint32_t pc) const
     {
         return pow2Entries ? (pc & indexMask) : pc % entries;

@@ -1,6 +1,7 @@
 #include "pipeline/pipeline.hh"
 
 #include <algorithm>
+#include <bit>
 
 #include "ckpt/serial.hh"
 #include "isa/disasm.hh"
@@ -13,6 +14,38 @@ namespace pipeline {
 using isa::FuClass;
 using isa::Instruction;
 using isa::Opcode;
+
+namespace {
+
+/** Result latency of a non-load instruction, by opcode. */
+constexpr auto kLatency = [] {
+    std::array<uint8_t, static_cast<size_t>(Opcode::NumOpcodes)> t{};
+    t.fill(kAluLatency);
+    t[static_cast<size_t>(Opcode::MUL)] = kMulLatency;
+    for (Opcode op : {Opcode::DIV, Opcode::REM})
+        t[static_cast<size_t>(op)] = kDivLatency;
+    for (Opcode op : {Opcode::FADD, Opcode::FSUB, Opcode::FMUL,
+                      Opcode::FDIV, Opcode::CVTIF, Opcode::CVTFI})
+        t[static_cast<size_t>(op)] = kFpLatency;
+    return t;
+}();
+
+uint64_t
+latencyOf(const Instruction &inst)
+{
+    return kLatency[static_cast<size_t>(inst.op)];
+}
+
+/** log2 of the 4-byte instructions per I$ block (4: 64-byte blocks). */
+constexpr int kFetchBlockShift = std::countr_zero(kICache.blockSize / 4);
+static_assert(std::has_single_bit(kICache.blockSize) &&
+                  kICache.blockSize >= 4,
+              "fetch blocks are whole power-of-two instruction groups");
+
+/** Initial in-flight store ring capacity (a power of two). */
+constexpr size_t kInitialStoreSlots = 16;
+
+} // namespace
 
 RetiredInst
 makeRetired(uint32_t pc, const Instruction &inst)
@@ -38,6 +71,9 @@ Pipeline::Pipeline(const MachineConfig &config)
       regCache(config.registerCacheSize),
       faults(config.faultInjector),
       books(BookRingSize),
+      fuLimit{kIntAlus, config.memPorts, kFpAlus, kBranchUnits,
+              config.issueWidth},
+      stores(kInitialStoreSlots),
       tcPipeline(trace::channel("pipeline")),
       tcPredict(trace::channel("predict")),
       tcRaddr(trace::channel("raddr")),
@@ -55,92 +91,72 @@ Pipeline::attach(Observer *observer)
     }
 }
 
-Pipeline::CycleUse &
-Pipeline::use(uint64_t cycle)
+int &
+Pipeline::dcachePortsAt(uint64_t cycle)
 {
     BookSlot &slot = books[cycle & (BookRingSize - 1)];
     if (slot.cycle != cycle) {
         slot.cycle = cycle;
-        slot.use = CycleUse{};
+        slot.dcachePorts = 0;
     }
-    return slot.use;
+    return slot.dcachePorts;
 }
 
 void
-Pipeline::pruneStores(uint64_t before)
+Pipeline::pushStore(const InFlightStore &store)
 {
-    while (!inFlightStores.empty() &&
-           inFlightStores.front().writeCycle + 4 < before) {
-        inFlightStores.pop_front();
+    // Every later probe is at or after this store's ID1 (exeCycle -
+    // 2), so a store visible before it can never interlock again.
+    size_t mask = stores.size() - 1;
+    while (storeCount > 0 &&
+           stores[storeHead].writeCycle + 2 < store.exeCycle) {
+        storeHead = (storeHead + 1) & mask;
+        --storeCount;
     }
+    if (storeCount == stores.size()) {
+        std::vector<InFlightStore> grown(2 * stores.size());
+        for (size_t i = 0; i < storeCount; ++i)
+            grown[i] = stores[(storeHead + i) & mask];
+        stores.swap(grown);
+        storeHead = 0;
+        mask = stores.size() - 1;
+    }
+    stores[(storeHead + storeCount) & mask] = store;
+    ++storeCount;
 }
 
 uint64_t
-Pipeline::scheduleIssue(uint64_t from, FuClass fu)
+Pipeline::scheduleIssue(uint64_t from, uint16_t flags)
 {
-    for (uint64_t c = from;; ++c) {
-        CycleUse &u = use(c);
-        if (u.issue >= cfg.issueWidth)
-            continue;
-        int *count = nullptr;
-        int limit = 0;
-        switch (fu) {
-          case FuClass::IntAlu:
-            count = &u.intAlu;
-            limit = kIntAlus;
-            break;
-          case FuClass::MemPort:
-            count = &u.mem;
-            limit = cfg.memPorts;
-            break;
-          case FuClass::FpAlu:
-            count = &u.fp;
-            limit = kFpAlus;
-            break;
-          case FuClass::Branch:
-            count = &u.branch;
-            limit = kBranchUnits;
-            break;
-          case FuClass::None:
-            break;
-        }
-        if (count && *count >= limit)
-            continue;
-        ++u.issue;
-        if (count)
-            ++*count;
-        return c;
+    // Issue is in order: from >= nextIssue, and only the returned
+    // cycle is booked. So nothing is booked above nextIssue, and a
+    // full frontier moves issue exactly one cycle on.
+    size_t fu = (flags & isa::flag::FuMask) >> isa::flag::FuShift;
+    if (from == nextIssue && (issuedAtFrontier >= cfg.issueWidth ||
+                              fuAtFrontier[fu] >= fuLimit[fu])) {
+        ++from;
     }
-}
-
-int
-Pipeline::latencyOf(const Instruction &inst)
-{
-    switch (inst.op) {
-      case Opcode::MUL:
-        return kMulLatency;
-      case Opcode::DIV:
-      case Opcode::REM:
-        return kDivLatency;
-      case Opcode::FADD:
-      case Opcode::FSUB:
-      case Opcode::FMUL:
-      case Opcode::FDIV:
-      case Opcode::CVTIF:
-      case Opcode::CVTFI:
-        return kFpLatency;
-      default:
-        return kAluLatency;
+    if (from != nextIssue) {
+        issuedAtFrontier = 0;
+        fuAtFrontier.fill(0);
     }
+    ++issuedAtFrontier;
+    ++fuAtFrontier[fu];
+    return from;
 }
 
 bool
 Pipeline::memInterlock(uint32_t addr, uint32_t bytes,
                        uint64_t cycle) const
 {
-    for (const InFlightStore &s : inFlightStores) {
+    // writeCycle never decreases along the queue, so the stores not
+    // yet visible at @p cycle are its newest ones: walk back from
+    // the newest and stop at the first store already visible.
+    size_t mask = stores.size() - 1;
+    for (size_t i = storeCount; i-- > 0;) {
+        const InFlightStore &s = stores[(storeHead + i) & mask];
         if (s.writeCycle < cycle)
-            continue; // already visible in the cache
+            return false;
         if (s.exeCycle >= cycle)
             return true; // address not yet resolved: conservative
         bool overlap = addr < s.addr + s.bytes && s.addr < addr + bytes;
@@ -158,13 +174,23 @@ Pipeline::fetchConstraint(const RetiredInst &ri)
         ++f;
         fetchedThisCycle = 0;
     }
-    mem::CacheAccessResult res = icache.access(ri.pc * 4, f);
-    if (!res.hit && res.readyCycle > f) {
-        ELAG_TRACE_EVT(tcCache, f, "I$ miss pc=%u fill ready %llu",
-                       ri.pc,
-                       static_cast<unsigned long long>(res.readyCycle));
-        f = res.readyCycle;
-        fetchedThisCycle = 0;
+    // A fetch from the previous fetch's block always hits: only
+    // fetch touches the I$, and fetch never goes back before the
+    // fill-ready cycle that the previous fetch waited for.
+    uint32_t block = ri.pc >> kFetchBlockShift;
+    if (block == lastFetchBlock) {
+        icache.rehitLast(f);
+    } else {
+        lastFetchBlock = block;
+        mem::CacheAccessResult res = icache.access(ri.pc * 4, f);
+        if (!res.hit && res.readyCycle > f) {
+            ELAG_TRACE_EVT(tcCache, f, "I$ miss pc=%u fill ready %llu",
+                           ri.pc,
+                           static_cast<unsigned long long>(
+                               res.readyCycle));
+            f = res.readyCycle;
+            fetchedThisCycle = 0;
+        }
     }
     ++fetchedThisCycle;
     nextFetch = f;
@@ -289,11 +315,11 @@ Pipeline::handleLoad(const RetiredInst &ri, uint64_t e,
                        predicted ? "hit" : "miss", ca);
         if (!predicted) {
             outcome = SpecOutcome::NoPrediction;
-        } else if (use(id2).dcachePorts >= cfg.memPorts ||
+        } else if (dcachePortsAt(id2) >= cfg.memPorts ||
                    (faults && faults->firePortSteal())) {
             outcome = SpecOutcome::PortDenied;
         } else {
-            ++use(id2).dcachePorts;
+            ++dcachePortsAt(id2);
             ++ctr.speculated;
             if (hasObservers_) {
                 for (Observer *o : observers)
@@ -371,11 +397,11 @@ Pipeline::handleLoad(const RetiredInst &ri, uint64_t e,
                        interlock ? " (interlocked)" : "");
         if (!bound) {
             outcome = SpecOutcome::NotBound;
-        } else if (use(id1).dcachePorts >= cfg.memPorts ||
+        } else if (dcachePortsAt(id1) >= cfg.memPorts ||
                    (faults && faults->firePortSteal())) {
             outcome = SpecOutcome::PortDenied;
         } else {
-            ++use(id1).dcachePorts;
+            ++dcachePortsAt(id1);
             ++ctr.speculated;
             if (hasObservers_) {
                 for (Observer *o : observers)
@@ -447,7 +473,7 @@ Pipeline::handleLoad(const RetiredInst &ri, uint64_t e,
     if (outcome != SpecOutcome::Forwarded) {
         // Normal path: EA in EXE, cache in MEM. A speculative miss
         // has already started the fill and the accesses merge.
-        ++use(e + 1).dcachePorts;
+        ++dcachePortsAt(e + 1);
         mem::CacheAccessResult acc = dcache.access(ca, e + 1);
         ELAG_TRACE_EVT(tcCache, e + 1, "D$ access pc=%u addr=0x%x %s",
                        ri.pc, ca, acc.hit ? "hit" : "miss");
@@ -469,7 +495,9 @@ Pipeline::handleBranch(const RetiredInst &ri, uint64_t e,
 {
     const Instruction &inst = ri.inst;
     uint64_t cur_fetch = nextFetch;
-    mem::Btb::Prediction pred = btb.predict(ri.pc);
+    // Unconditional transfers train the BTB as taken.
+    mem::Btb::Prediction pred = btb.resolve(
+        ri.pc, ri.taken || !(flags & isa::flag::CondBranch), ri.nextPc);
 
     if (flags & isa::flag::CondBranch) {
         ++stats_.branches;
@@ -490,7 +518,6 @@ Pipeline::handleBranch(const RetiredInst &ri, uint64_t e,
             nextFetch = e + 1;
             fetchedThisCycle = 0;
         }
-        btb.update(ri.pc, ri.taken, ri.nextPc);
         return;
     }
 
@@ -504,7 +531,6 @@ Pipeline::handleBranch(const RetiredInst &ri, uint64_t e,
         else
             nextFetch = cur_fetch + 2;
         fetchedThisCycle = 0;
-        btb.update(ri.pc, true, ri.nextPc);
         break;
       case Opcode::JR:
         // Indirect: resolved in EXE.
@@ -515,7 +541,6 @@ Pipeline::handleBranch(const RetiredInst &ri, uint64_t e,
             nextFetch = e + 1;
         }
         fetchedThisCycle = 0;
-        btb.update(ri.pc, true, ri.nextPc);
         break;
       default:
         panic("handleBranch: not a control instruction");
@@ -562,7 +587,7 @@ Pipeline::retire(const RetiredInst &ri)
         }
     }
 
-    e = scheduleIssue(e, isa::flagFuClass(flags));
+    e = scheduleIssue(e, flags);
 
     ELAG_TRACE_EVT(tcPipeline, e, "retire pc=%u %s", ri.pc,
                    isa::disassemble(inst).c_str());
@@ -579,28 +604,23 @@ Pipeline::retire(const RetiredInst &ri)
         completion = std::max(completion, ready);
     } else if (flags & isa::flag::Store) {
         ++stats_.stores;
-        ++use(e + 1).dcachePorts;
+        ++dcachePortsAt(e + 1);
         dcache.access(ri.effAddr, e + 1, cfg.dcache.writeAllocate);
-        inFlightStores.push_back(
-            {ri.effAddr, (flags & isa::flag::WidthByte) ? 1u : 4u, e,
-             e + 1});
+        pushStore({ri.effAddr, (flags & isa::flag::WidthByte) ? 1u : 4u,
+                   e, e + 1});
     } else if (flags & isa::flag::Control) {
         handleBranch(ri, e, flags);
         if (inst.op == Opcode::JAL && inst.rd != 0)
             intReady[inst.rd] = e + 1;
     } else if (flags & isa::flag::WritesFp) {
-        fpReady[inst.rd] =
-            e + static_cast<uint64_t>(latencyOf(inst));
+        fpReady[inst.rd] = e + latencyOf(inst);
     } else if (flags & isa::flag::WritesInt) {
-        intReady[inst.rd] =
-            e + static_cast<uint64_t>(latencyOf(inst));
+        intReady[inst.rd] = e + latencyOf(inst);
         completion = std::max(completion, intReady[inst.rd]);
     }
 
     nextIssue = e;
     lastCompletion = std::max(lastCompletion, completion);
-    if (e > 64)
-        pruneStores(e - 64);
 }
 
 const PipelineStats &
@@ -627,19 +647,27 @@ Pipeline::serialize(ckpt::Writer &w) const
     table.serialize(w);
     regCache.serialize(w);
 
+    // Each slot keeps the per-cycle layout of checkpoint version 2:
+    // cycle, issue count, the counts of the four FuClasses with units
+    // (None has none), D$ ports. Only the frontier's slot has issue
+    // and unit counts; it is written as the frontier cycle's.
+    size_t frontier = nextIssue & (BookRingSize - 1);
     w.varint(books.size());
-    for (const BookSlot &slot : books) {
-        w.u64(slot.cycle);
-        w.i32(slot.use.issue);
-        w.i32(slot.use.intAlu);
-        w.i32(slot.use.mem);
-        w.i32(slot.use.fp);
-        w.i32(slot.use.branch);
-        w.i32(slot.use.dcachePorts);
+    for (size_t i = 0; i < books.size(); ++i) {
+        const BookSlot &slot = books[i];
+        bool at_frontier = i == frontier;
+        w.u64(at_frontier ? nextIssue : slot.cycle);
+        w.i32(at_frontier ? issuedAtFrontier : 0);
+        for (size_t fu = 0; fu + 1 < NumFuClasses; ++fu)
+            w.i32(at_frontier ? fuAtFrontier[fu] : 0);
+        w.i32(at_frontier && slot.cycle != nextIssue ? 0
+                                                     : slot.dcachePorts);
     }
 
-    w.varint(inFlightStores.size());
-    for (const InFlightStore &st : inFlightStores) {
+    w.varint(storeCount);
+    for (size_t i = 0; i < storeCount; ++i) {
+        const InFlightStore &st =
+            stores[(storeHead + i) & (stores.size() - 1)];
         w.varint(st.addr);
         w.varint(st.bytes);
         w.varint(st.exeCycle);
@@ -673,25 +701,34 @@ Pipeline::restore(ckpt::Reader &r)
         throw ckpt::CkptError(ckpt::ErrorKind::Mismatch,
                               "pipeline booking-ring size mismatch");
     }
-    for (BookSlot &slot : books) {
-        slot.cycle = r.u64();
-        slot.use.issue = r.i32();
-        slot.use.intAlu = r.i32();
-        slot.use.mem = r.i32();
-        slot.use.fp = r.i32();
-        slot.use.branch = r.i32();
-        slot.use.dcachePorts = r.i32();
+    // Each slot's issue count and unit counts, held until the
+    // snapshot names the frontier after the ring.
+    std::vector<std::array<int, NumFuClasses>> counts(books.size());
+    for (size_t i = 0; i < books.size(); ++i) {
+        books[i].cycle = r.u64();
+        for (int &count : counts[i])
+            count = r.i32();
+        books[i].dcachePorts = r.i32();
     }
 
-    inFlightStores.clear();
-    uint64_t stores = r.varint();
-    for (uint64_t i = 0; i < stores; ++i) {
+    // memInterlock relies on writeCycle never decreasing along the
+    // queue; a snapshot whose stores break that order is corrupt.
+    storeHead = 0;
+    storeCount = 0;
+    uint64_t queued = r.varint();
+    uint64_t last_write = 0;
+    for (uint64_t i = 0; i < queued; ++i) {
         InFlightStore st;
         st.addr = static_cast<uint32_t>(r.varint());
         st.bytes = static_cast<uint32_t>(r.varint());
         st.exeCycle = r.varint();
         st.writeCycle = r.varint();
-        inFlightStores.push_back(st);
+        if (st.writeCycle < last_write) {
+            throw ckpt::CkptError(ckpt::ErrorKind::Corrupt,
+                                  "in-flight stores out of issue order");
+        }
+        last_write = st.writeCycle;
+        pushStore(st);
     }
 
     for (uint64_t &ready : intReady)
@@ -700,9 +737,21 @@ Pipeline::restore(ckpt::Reader &r)
         ready = r.varint();
 
     nextIssue = r.varint();
+    // Only the frontier slot's counts are live, and only when its
+    // cycle is the frontier's: a pipeline that retired nothing has
+    // booked nothing there.
+    size_t frontier = nextIssue & (BookRingSize - 1);
+    issuedAtFrontier = 0;
+    fuAtFrontier.fill(0);
+    if (books[frontier].cycle == nextIssue) {
+        issuedAtFrontier = counts[frontier][0];
+        std::copy(counts[frontier].begin() + 1, counts[frontier].end(),
+                  fuAtFrontier.begin());
+    }
     nextFetch = r.varint();
     fetchedThisCycle = r.i32();
     lastCompletion = r.varint();
+    lastFetchBlock = ~0u;
     // Snapshots are taken between retires, never after finish().
     if (r.b()) {
         throw ckpt::CkptError(ckpt::ErrorKind::Corrupt,

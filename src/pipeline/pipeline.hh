@@ -29,8 +29,8 @@
 #ifndef ELAG_PIPELINE_PIPELINE_HH
 #define ELAG_PIPELINE_PIPELINE_HH
 
+#include <array>
 #include <cstdint>
-#include <deque>
 #include <vector>
 
 #include "isa/instruction.hh"
@@ -106,28 +106,18 @@ class Pipeline
 
     /**
      * Checkpoint the complete timing state: aggregate stats, caches,
-     * BTB, predictor tables, the cycle-resource booking ring,
-     * in-flight stores, register ready-times, and the issue/fetch
-     * frontiers. Configuration, observers, and the fault-injector
-     * pointer are NOT captured — restore() requires a Pipeline built
-     * from the identical MachineConfig (the checkpoint layer checks
-     * config hashes before calling it).
+     * BTB, predictor tables, the cycle-resource booking ring (whose
+     * slot for the issue frontier carries the frontier's issue and
+     * FU counts), in-flight stores, register ready-times, and the
+     * issue/fetch frontiers. Configuration, observers, and the
+     * fault-injector pointer are NOT captured — restore() requires a
+     * Pipeline built from the identical MachineConfig (the checkpoint
+     * layer checks config hashes before calling it).
      */
     void serialize(ckpt::Writer &w) const;
     void restore(ckpt::Reader &r);
 
   private:
-    /** Per-cycle resource books. */
-    struct CycleUse
-    {
-        int issue = 0;
-        int intAlu = 0;
-        int mem = 0;
-        int fp = 0;
-        int branch = 0;
-        int dcachePorts = 0;
-    };
-
     /** An in-flight store, for memory-interlock checks. */
     struct InFlightStore
     {
@@ -137,12 +127,15 @@ class Pipeline
         uint64_t writeCycle = 0; ///< data visible after this cycle
     };
 
-    CycleUse &use(uint64_t cycle);
-    void pruneStores(uint64_t before);
-    /** Earliest cycle >= @p from with a free issue slot + FU. */
-    uint64_t scheduleIssue(uint64_t from, isa::FuClass fu);
-    /** Latency of a non-load instruction. */
-    static int latencyOf(const isa::Instruction &inst);
+    /** D$ ports booked at @p cycle. */
+    int &dcachePortsAt(uint64_t cycle);
+    /** Queue @p store, first dropping stores no probe can reach. */
+    void pushStore(const InFlightStore &store);
+    /**
+     * Earliest cycle >= @p from with a free issue slot and a free
+     * unit of the FU class in @p flags; books both.
+     */
+    uint64_t scheduleIssue(uint64_t from, uint16_t flags);
     /** True if an in-flight older store may conflict at @p cycle. */
     bool memInterlock(uint32_t addr, uint32_t bytes,
                       uint64_t cycle) const;
@@ -173,19 +166,47 @@ class Pipeline
     verify::FaultInjector *faults = nullptr;
 
     /**
-     * Per-cycle resource books as a ring keyed by cycle modulo the
-     * ring size. The live booking window spans only a few cycles
-     * around the issue frontier, so collisions cannot occur; stale
-     * slots are lazily reset when revisited.
+     * D$ port books as a ring keyed by cycle modulo the ring size.
+     * Ports are booked from ID1 to MEM of the issuing instruction,
+     * a few cycles around the issue frontier, so collisions cannot
+     * occur; stale slots are lazily reset when revisited.
      */
     struct BookSlot
     {
         uint64_t cycle = ~0ull;
-        CycleUse use;
+        int dcachePorts = 0;
     };
     static constexpr size_t BookRingSize = 1024;
     std::vector<BookSlot> books;
-    std::deque<InFlightStore> inFlightStores;
+
+    /**
+     * Issue and FU bookings exist only at the issue frontier,
+     * nextIssue (DESIGN, "Timing-model hot path"): the issue slots
+     * taken there, and the units taken per FuClass, indexed by the
+     * flag word's FU field, with their limits. FuClass::None needs
+     * no unit; its limit is the issue width, so it never binds.
+     */
+    static constexpr size_t NumFuClasses =
+        static_cast<size_t>(isa::FuClass::None) + 1;
+    int issuedAtFrontier = 0;
+    std::array<int, NumFuClasses> fuAtFrontier = {};
+    std::array<int, NumFuClasses> fuLimit = {};
+
+    /**
+     * In-flight stores, oldest first, in a power-of-two ring that
+     * doubles when full. Issue is in order, so writeCycle never
+     * decreases from the oldest store to the newest.
+     */
+    std::vector<InFlightStore> stores;
+    size_t storeHead = 0;  ///< ring index of the oldest store
+    size_t storeCount = 0;
+
+    /**
+     * I$ block of the previous fetch (pc >> 4: sixteen 4-byte
+     * instructions per 64-byte block), or ~0u when the next fetch
+     * must probe the I$ in full.
+     */
+    uint32_t lastFetchBlock = ~0u;
 
     /** Attached event sinks (not owned). */
     std::vector<Observer *> observers;

@@ -23,6 +23,8 @@ constexpr uint64_t kBackoffBaseMs = 50;
 constexpr uint64_t kBackoffCapMs = 5000;
 /** Uptime that resets a shard's crash streak. */
 constexpr uint64_t kStableMs = 10'000;
+/** Crash-streak length that trips the circuit breaker. */
+constexpr uint32_t kBreakerThreshold = 5;
 /** How long a tripped breaker parks the shard before a probe. */
 constexpr uint64_t kBreakerCooldownMs = 10'000;
 /** Monitor tick. */
@@ -113,6 +115,12 @@ RestartPolicy::delayMs(uint32_t streak)
     return cappedDoubling(kBackoffBaseMs, streak, kBackoffCapMs);
 }
 
+bool
+RestartPolicy::breakerTrips(uint32_t streak)
+{
+    return streak >= kBreakerThreshold;
+}
+
 ShardManager::ShardManager(const ShardManagerConfig &config)
     : cfg(config)
 {
@@ -196,7 +204,7 @@ ShardManager::spawnLocked(uint32_t index)
         warn("elagd: cannot spawn shard %u: %s", index,
              error.c_str());
         shard.state = ShardState::Backoff;
-        shard.retryAtMs = now + cfg.restart.delayMs(
+        shard.retryAtMs = now + RestartPolicy::delayMs(
                                     std::max(shard.crashStreak, 1u));
         return;
     }
@@ -222,7 +230,7 @@ ShardManager::recordDeathLocked(uint32_t index,
     ++shard.restarts;
     restartCounter(reason).inc();
 
-    if (cfg.restart.breakerTrips(shard.crashStreak)) {
+    if (RestartPolicy::breakerTrips(shard.crashStreak)) {
         shard.state = ShardState::Broken;
         shard.retryAtMs = now_ms + kBreakerCooldownMs;
         warn("elagd: shard %u crash-looping (%u in a row, %s); "
@@ -230,7 +238,7 @@ ShardManager::recordDeathLocked(uint32_t index,
              index, shard.crashStreak, reason.c_str(),
              (unsigned long long)kBreakerCooldownMs);
     } else {
-        uint64_t delay = cfg.restart.delayMs(shard.crashStreak);
+        uint64_t delay = RestartPolicy::delayMs(shard.crashStreak);
         shard.state = ShardState::Backoff;
         shard.retryAtMs = now_ms + delay;
         warn("elagd: shard %u died (%s); respawn in %llu ms", index,

@@ -52,21 +52,14 @@ namespace serve {
 /** Backoff + circuit-breaker arithmetic, pure and unit-testable. */
 struct RestartPolicy
 {
-    /** Streak length that trips the circuit breaker. */
-    uint32_t breakerThreshold = 5;
-
     /**
      * Respawn delay for the @p streak-th consecutive crash
      * (streak >= 1): 50 ms doubled per extra crash, capped at 5 s.
      */
     static uint64_t delayMs(uint32_t streak);
 
-    /** @return true when @p streak trips the circuit breaker. */
-    bool
-    breakerTrips(uint32_t streak) const
-    {
-        return streak >= breakerThreshold;
-    }
+    /** @return true when @p streak trips the circuit breaker (5). */
+    static bool breakerTrips(uint32_t streak);
 };
 
 /** Where one shard is in its lifecycle. */
@@ -116,7 +109,6 @@ struct ShardManagerConfig
     std::function<std::string(uint32_t index)> socketPathFor;
     /** rlimit caps applied to every worker. */
     SpawnLimits limits;
-    RestartPolicy restart;
     /** Crashes per routing hash before quarantine. */
     uint32_t quarantineThreshold = 3;
 };

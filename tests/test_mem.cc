@@ -1,12 +1,13 @@
 /**
  * @file
  * Memory-system tests: sparse main memory, the cache timing model
- * (hits, misses, non-blocking fill merges, LRU, no-write-allocate),
- * and the BTB.
+ * (hits, misses, non-blocking fill merges, LRU, no-write-allocate,
+ * the tag-free repeat hit), and the BTB.
  */
 
 #include <gtest/gtest.h>
 
+#include "ckpt/serial.hh"
 #include "mem/cache.hh"
 #include "mem/memory.hh"
 #include "support/logging.hh"
@@ -153,15 +154,42 @@ TEST(Cache, WarmedWorkingSetAllHitsProperty)
         EXPECT_TRUE(cache.access(addr, 1000).hit) << addr;
 }
 
+TEST(Cache, RehitLastMatchesFullAccess)
+{
+    // rehitLast() on the block the last access() left present counts
+    // the hit and stamps LRU exactly like a full access(): a two-way
+    // cache then picks the same victim and serializes the same bytes.
+    CacheConfig cfg{128, 16, 2, 12, true};
+    Cache full(cfg);
+    Cache fast(cfg);
+    for (Cache *c : {&full, &fast}) {
+        c->access(0x00, 1);   // set 0, way A: fill done at 13
+        c->access(0x40, 2);   // set 0, way B
+    }
+    full.access(0x00, 20);
+    full.access(0x04, 21);
+    fast.access(0x00, 20);
+    fast.rehitLast(21);       // same block as the last access
+    full.access(0x80, 22);    // evicts the least recently used: 0x40
+    fast.access(0x80, 22);
+    EXPECT_EQ(fast.hits(), full.hits());
+    EXPECT_EQ(fast.misses(), full.misses());
+    EXPECT_TRUE(fast.access(0x00, 40).hit);
+    EXPECT_TRUE(full.access(0x00, 40).hit);
+    ckpt::Writer a, b;
+    full.serialize(a);
+    fast.serialize(b);
+    EXPECT_EQ(a.data(), b.data());
+}
+
 TEST(Btb, ColdMissThenAllocatesOnTaken)
 {
+    // resolve() returns the prediction made before it trains.
     Btb btb(1024);
-    auto pred = btb.predict(100);
-    EXPECT_FALSE(pred.hit);
-    btb.update(100, false, 0); // not-taken branches do not allocate
-    EXPECT_FALSE(btb.predict(100).hit);
-    btb.update(100, true, 200);
-    pred = btb.predict(100);
+    EXPECT_FALSE(btb.resolve(100, false, 0).hit);
+    // Not-taken branches do not allocate: still a miss.
+    EXPECT_FALSE(btb.resolve(100, true, 200).hit);
+    Btb::Prediction pred = btb.resolve(100, true, 200);
     EXPECT_TRUE(pred.hit);
     EXPECT_TRUE(pred.taken);
     EXPECT_EQ(pred.target, 200u);
@@ -170,31 +198,29 @@ TEST(Btb, ColdMissThenAllocatesOnTaken)
 TEST(Btb, TwoBitHysteresis)
 {
     Btb btb(1024);
-    btb.update(5, true, 50); // counter = 2
-    btb.update(5, true, 50); // counter = 3
-    btb.update(5, false, 0); // counter = 2, still predicts taken
-    EXPECT_TRUE(btb.predict(5).taken);
-    btb.update(5, false, 0); // counter = 1 -> not taken
-    EXPECT_FALSE(btb.predict(5).taken);
-    btb.update(5, true, 50); // counter = 2 -> taken again
-    EXPECT_TRUE(btb.predict(5).taken);
+    btb.resolve(5, true, 50);  // allocates: counter = 2
+    btb.resolve(5, true, 50);  // counter = 3
+    btb.resolve(5, false, 0);  // counter = 2
+    EXPECT_TRUE(btb.resolve(5, false, 0).taken);  // then counter = 1
+    EXPECT_FALSE(btb.resolve(5, true, 50).taken); // then counter = 2
+    EXPECT_TRUE(btb.resolve(5, true, 50).taken);
 }
 
 TEST(Btb, TagPreventsAliasHit)
 {
     Btb btb(16);
-    btb.update(3, true, 30);
-    // pc 19 maps to the same entry but has a different tag.
-    EXPECT_FALSE(btb.predict(19).hit);
-    btb.update(19, true, 90); // replaces
-    EXPECT_FALSE(btb.predict(3).hit);
-    EXPECT_EQ(btb.predict(19).target, 90u);
+    btb.resolve(3, true, 30);
+    // pc 19 maps to the same entry but has a different tag; being
+    // taken, it replaces pc 3's entry.
+    EXPECT_FALSE(btb.resolve(19, true, 90).hit);
+    EXPECT_FALSE(btb.resolve(3, false, 0).hit);
+    EXPECT_EQ(btb.resolve(19, true, 90).target, 90u);
 }
 
 TEST(Btb, TargetUpdatesOnTaken)
 {
     Btb btb(64);
-    btb.update(7, true, 100);
-    btb.update(7, true, 140); // indirect branch changed target
-    EXPECT_EQ(btb.predict(7).target, 140u);
+    btb.resolve(7, true, 100);
+    btb.resolve(7, true, 140); // indirect branch changed target
+    EXPECT_EQ(btb.resolve(7, true, 140).target, 140u);
 }

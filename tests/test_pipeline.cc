@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include "ckpt/serial.hh"
 #include "isa/builder.hh"
 #include "pipeline/pipeline.hh"
 #include "pipeline/telemetry.hh"
@@ -467,6 +468,307 @@ TEST(Timing, InstructionAndLoadCountsAreExact)
     EXPECT_EQ(f.pipe.stats().instructions, 4u);
     EXPECT_EQ(f.pipe.stats().loads, 1u);
     EXPECT_EQ(f.pipe.stats().stores, 1u);
+}
+
+// ---------------------------------------------------------------
+// Known answers for the retire paths the timing model's fast path
+// rewrites: issue/FU booking at the issue frontier, the FP sources
+// and latencies, one I$ probe per fetch block, and the in-flight
+// store walk. Every stream starts cold: the first fetch misses the
+// I$ (12 cycles) and the first instruction issues at cycle 16.
+// ---------------------------------------------------------------
+
+namespace {
+
+/** An FP-file instruction (no FP builder exists in isa::build). */
+Instruction
+fpOp(Opcode op, int rd, int rs1, int rs2 = 0)
+{
+    Instruction inst;
+    inst.op = op;
+    inst.rd = static_cast<uint8_t>(rd);
+    inst.rs1 = static_cast<uint8_t>(rs1);
+    inst.rs2 = static_cast<uint8_t>(rs2);
+    return inst;
+}
+
+} // namespace
+
+TEST(FastPath, FpAluLimitSpillsThirdFadd)
+{
+    // Two FP ALUs: two independent FADDs issue at 16, the third at 17.
+    uint64_t two = cyclesFor(base(), [](StreamFeeder &f) {
+        for (int i = 0; i < 2; ++i)
+            f.feed(fpOp(Opcode::FADD, 10 + i, 1, 2));
+    });
+    uint64_t three = cyclesFor(base(), [](StreamFeeder &f) {
+        for (int i = 0; i < 3; ++i)
+            f.feed(fpOp(Opcode::FADD, 10 + i, 1, 2));
+    });
+    EXPECT_EQ(two, 18u);
+    EXPECT_EQ(three, 19u);
+}
+
+TEST(FastPath, FpChainWaitsForFpLatency)
+{
+    // FADD at 16 (f10 ready 18), FMUL at 18 (f11 ready 20), FSTORE of
+    // f11 at 20, written in MEM at 21, complete at 22.
+    StreamFeeder f(base());
+    f.feed(fpOp(Opcode::FADD, 10, 1, 2));
+    f.feed(fpOp(Opcode::FMUL, 11, 10, 3));
+    Instruction fst = fpOp(Opcode::FSTORE, 0, 1, 11);
+    f.feed(fst, 0x100);
+    const PipelineStats &s = f.finishChecked();
+    EXPECT_EQ(s.cycles, 22u);
+    EXPECT_EQ(s.stores, 1u);
+    EXPECT_EQ(s.dcacheMisses, 1u);
+}
+
+TEST(FastPath, ConversionsCrossRegisterFiles)
+{
+    // CVTIF reads r1 and writes f10 (ready 18); CVTFI reads f10 at 18
+    // and writes r11 (ready 20); the ADD reading r11 issues at 20.
+    StreamFeeder f(base());
+    f.feed(fpOp(Opcode::CVTIF, 10, 1));
+    f.feed(fpOp(Opcode::CVTFI, 11, 10));
+    f.feed(build::add(12, 11, 2));
+    EXPECT_EQ(f.cycles(), 22u);
+}
+
+TEST(FastPath, MulAndDivChainsTakeTheirLatencies)
+{
+    // MUL is 3 cycles, DIV and REM 8: four chained MULs from 16 make
+    // r10 ready at 28; DIV -> REM -> MUL make r12 ready at 35.
+    uint64_t muls = cyclesFor(base(), [](StreamFeeder &f) {
+        for (int i = 0; i < 4; ++i)
+            f.feed(build::rrr(Opcode::MUL, 10, 10, 2));
+    });
+    uint64_t divs = cyclesFor(base(), [](StreamFeeder &f) {
+        f.feed(build::rrr(Opcode::DIV, 10, 1, 2));
+        f.feed(build::rrr(Opcode::REM, 11, 10, 2));
+        f.feed(build::rrr(Opcode::MUL, 12, 11, 2));
+    });
+    EXPECT_EQ(muls, 28u);
+    EXPECT_EQ(divs, 35u);
+}
+
+TEST(FastPath, FifthAluOpAndSeventhIssueSpill)
+{
+    // Four int ALUs: the fifth independent ADD issues at 17.
+    uint64_t five = cyclesFor(base(), [](StreamFeeder &f) {
+        for (int i = 0; i < 5; ++i)
+            f.feed(build::add(10 + i, 1, 2));
+    });
+    EXPECT_EQ(five, 19u);
+
+    // Four ADDs wait for a DIV's result until 24, and two FADDs
+    // behind them fill the other two of the six issue slots there: a
+    // seventh op, a NOP that needs no functional unit, issues at 25.
+    auto six = [](StreamFeeder &f) {
+        f.feed(build::rrr(Opcode::DIV, 10, 1, 2));
+        for (int i = 0; i < 4; ++i)
+            f.feed(build::add(11 + i, 10, 2));
+        f.feed(fpOp(Opcode::FADD, 10, 1, 2));
+        f.feed(fpOp(Opcode::FADD, 11, 1, 2));
+    };
+    uint64_t full = cyclesFor(base(), six);
+    uint64_t seventh = cyclesFor(base(), [&](StreamFeeder &f) {
+        six(f);
+        f.feed(build::nop());
+    });
+    EXPECT_EQ(full, 26u);
+    EXPECT_EQ(seventh, 27u);
+}
+
+TEST(FastPath, SequentialFetchMissesOncePerBlock)
+{
+    // Sixteen 4-byte instructions per 64-byte I$ block: 40 chained
+    // ADDs from pc 0 touch blocks 0, 1 and 2.
+    StreamFeeder f(base());
+    for (int i = 0; i < 40; ++i)
+        f.feed(build::add(10, 10, 2));
+    const PipelineStats &s = f.finishChecked();
+    EXPECT_EQ(s.icacheMisses, 3u);
+    EXPECT_EQ(s.cycles, 57u);
+}
+
+TEST(FastPath, TakenBranchWithinAndAcrossFetchBlocks)
+{
+    // A cold-BTB taken branch at pc 1 redirects at EXE (16): the
+    // target is fetched at 17. Landing in the same block (pc 8) hits;
+    // landing in block 2 (pc 40) misses and waits for the fill.
+    auto jump_to = [](uint32_t target) {
+        StreamFeeder f(base());
+        f.feed(build::add(10, 1, 2));
+        f.feedBranch(build::branch(Opcode::BEQ, 0, 0,
+                                   static_cast<int32_t>(target)),
+                     true, target);
+        f.feed(build::add(11, 10, 2));
+        f.feed(build::add(12, 11, 2));
+        return f.finishChecked();
+    };
+    PipelineStats same = jump_to(8);
+    EXPECT_EQ(same.icacheMisses, 1u);
+    EXPECT_EQ(same.mispredicts, 1u);
+    EXPECT_EQ(same.cycles, 23u);
+    PipelineStats across = jump_to(40);
+    EXPECT_EQ(across.icacheMisses, 2u);
+    EXPECT_EQ(across.mispredicts, 1u);
+    EXPECT_EQ(across.cycles, 35u);
+
+    // A loop that branches back inside one block: one I$ miss, and
+    // only the cold first branch and the exit mispredict.
+    StreamFeeder loop(base());
+    for (int i = 0; i < 30; ++i) {
+        RetiredInst body = makeRetired(5, build::add(10, 10, 2));
+        body.nextPc = 6;
+        loop.pipe.retire(body);
+        RetiredInst br =
+            makeRetired(6, build::branch(Opcode::BLT, 3, 4, 5));
+        br.taken = i + 1 < 30;
+        br.nextPc = br.taken ? 5 : 7;
+        loop.pipe.retire(br);
+    }
+    const PipelineStats &s = loop.finishChecked();
+    EXPECT_EQ(s.icacheMisses, 1u);
+    EXPECT_EQ(s.mispredicts, 2u);
+    EXPECT_EQ(s.cycles, 50u);
+}
+
+namespace {
+
+/**
+ * Bind r1 into R_addr and warm the block at 0x100, store a word to
+ * 0x100 (and, with @p newer_disjoint, a second word to 0x108 in the
+ * same cycle), run @p spacing chained ADDs, then issue ld_e of 0x100.
+ * The stores issue at 35 and write at 36, so they are visible from
+ * 37 on; the ld_e probes R_addr in ID1, two cycles before its EXE.
+ */
+PipelineStats
+storeVisibilityProbe(int spacing, bool newer_disjoint)
+{
+    MachineConfig cfg = MachineConfig::proposed();
+    // Two stores write through both D$ ports at 36; a third port
+    // leaves one free for the probe.
+    if (newer_disjoint)
+        cfg.memPorts = 3;
+    StreamFeeder f(cfg);
+    f.feed(build::load(LoadSpec::EarlyCalc, 10, 1, 0), 0x100);
+    for (int i = 0; i < 20; ++i)
+        f.feed(build::add(20, 20, 2));
+    f.feed(build::store(5, 6, 0), 0x100);
+    if (newer_disjoint)
+        f.feed(build::store(5, 7, 0), 0x108);
+    for (int i = 0; i < spacing; ++i)
+        f.feed(build::add(21, 21, 2));
+    f.feed(build::load(LoadSpec::EarlyCalc, 11, 1, 0), 0x100);
+    return f.finishChecked();
+}
+
+} // namespace
+
+TEST(FastPath, SpeculativeLoadAroundStoreVisibility)
+{
+    for (bool newer_disjoint : {false, true}) {
+        SCOPED_TRACE(newer_disjoint ? "with a newer disjoint store"
+                                    : "one store");
+        // Probe in ID1 = 36, the store's write cycle: the data is
+        // not yet visible, so the load must not forward. A newer
+        // store to another word, resolved but not visible either,
+        // must not hide the older conflicting one.
+        PipelineStats before = storeVisibilityProbe(4, newer_disjoint);
+        EXPECT_EQ(before.earlyCalc.speculated, 1u);
+        EXPECT_EQ(before.earlyCalc.memInterlock, 1u);
+        EXPECT_EQ(before.earlyCalc.forwarded, 0u);
+        EXPECT_EQ(before.cycles, 40u);
+        // Probe at 37: the stores are visible, the load forwards.
+        PipelineStats after = storeVisibilityProbe(5, newer_disjoint);
+        EXPECT_EQ(after.earlyCalc.memInterlock, 0u);
+        EXPECT_EQ(after.earlyCalc.forwarded, 1u);
+        EXPECT_EQ(after.cycles, 41u);
+    }
+    // Probe at 35, the cycle the stores resolve their addresses: an
+    // unresolved store interlocks.
+    PipelineStats unresolved = storeVisibilityProbe(3, true);
+    EXPECT_EQ(unresolved.earlyCalc.memInterlock, 1u);
+    EXPECT_EQ(unresolved.cycles, 39u);
+}
+
+namespace {
+
+void
+retireAt(Pipeline &pipe, uint32_t &pc, const Instruction &inst,
+         uint32_t ea = 0)
+{
+    RetiredInst ri = makeRetired(pc, inst);
+    ri.effAddr = ea;
+    ri.nextPc = pc + 1;
+    pipe.retire(ri);
+    ++pc;
+}
+
+/** Three independent ADDs: three of four int ALUs at cycle 16. */
+void
+feedHead(Pipeline &pipe, uint32_t &pc)
+{
+    for (int i = 0; i < 3; ++i)
+        retireAt(pipe, pc, build::add(10 + i, 1, 2));
+}
+
+/** Two more ADDs, a load, a store and a dependent ADD. */
+void
+feedTail(Pipeline &pipe, uint32_t &pc)
+{
+    retireAt(pipe, pc, build::add(13, 1, 2));
+    retireAt(pipe, pc, build::add(14, 1, 2));
+    retireAt(pipe, pc, build::load(LoadSpec::Normal, 20, 1, 0), 0x100);
+    retireAt(pipe, pc, build::store(20, 1, 4), 0x104);
+    retireAt(pipe, pc, build::add(21, 20, 2));
+}
+
+std::string
+statsBytes(const PipelineStats &s)
+{
+    ckpt::Writer w;
+    serialize(w, s);
+    return w.data();
+}
+
+} // namespace
+
+TEST(FastPath, SnapshotOfPartlyBookedFrontierResumes)
+{
+    // The head books three of the four int ALUs at the frontier
+    // cycle 16, and the snapshot is taken there. A resumed pipeline
+    // must still see those bookings: of the tail's two ADDs only
+    // one fits at 16.
+    MachineConfig cfg = MachineConfig::proposed();
+    Pipeline whole(cfg);
+    uint32_t pc = 0;
+    feedHead(whole, pc);
+    feedTail(whole, pc);
+    const PipelineStats &expect = whole.finish();
+    EXPECT_EQ(expect.cycles, 33u);
+
+    Pipeline first(cfg);
+    pc = 0;
+    feedHead(first, pc);
+    ckpt::Writer w;
+    first.serialize(w);
+
+    Pipeline resumed(cfg);
+    ckpt::Reader r(w.data().data(), w.size());
+    resumed.restore(r);
+    EXPECT_TRUE(r.atEnd());
+    // The snapshot round-trips bit-exactly.
+    ckpt::Writer again;
+    resumed.serialize(again);
+    EXPECT_EQ(again.data(), w.data());
+
+    feedTail(resumed, pc);
+    const PipelineStats &got = resumed.finish();
+    EXPECT_EQ(got.cycles, expect.cycles);
+    EXPECT_EQ(statsBytes(got), statsBytes(expect));
 }
 
 namespace {

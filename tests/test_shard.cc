@@ -76,9 +76,6 @@ TEST(RestartPolicy, BreakerTripsAtThreshold)
     EXPECT_FALSE(policy.breakerTrips(4));
     EXPECT_TRUE(policy.breakerTrips(5));
     EXPECT_TRUE(policy.breakerTrips(6));
-
-    policy.breakerThreshold = 1;
-    EXPECT_TRUE(policy.breakerTrips(1));
 }
 
 // ---------------------------------------------------------------
